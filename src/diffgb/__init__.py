@@ -24,7 +24,7 @@ from .deltabasis import (
     reduce,
     s_delta_operators,
 )
-from .diffop import DiffOp, InitialTerm, RingSpec, leibniz_mul
+from .diffop import DiffOp, InitialTerm, RingSpec
 from .dmodule import (
     CoordinateWitness,
     FinitenessReport,
@@ -99,7 +99,6 @@ __all__ = [
     "is_gb",
     "is_reduced",
     "lcm_targets",
-    "leibniz_mul",
     "lex",
     "member",
     "minimal_stair",

@@ -31,6 +31,7 @@ from .groebner import PolyIdeal, syzygies
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import display_order
 from .problems import (
+    COMMANDS,
     ParseError,
     ProblemFile,
     parse_expression,
@@ -153,10 +154,10 @@ def _ring_info(ring) -> dict:
     }
 
 
-def _named_ops(problem: ProblemFile):
+def _input_ops(problem: ProblemFile):
     if not problem.operators:
         raise UsageError("the problem defines no operators")
-    return list(problem.operators), list(problem.operators.values())
+    return list(problem.operators.values())
 
 
 def _ideal_strs(ideal: PolyIdeal, names) -> list[str]:
@@ -167,11 +168,11 @@ def _ideal_strs(ideal: PolyIdeal, names) -> list[str]:
     return [g.primitive(disp).to_str(names) for g in gens]
 
 
-def _basis_names(problem: ProblemFile, total: int) -> list[str]:
+def _named(problem: ProblemFile, ops) -> list[tuple[str, str]]:
+    """(name, text) per operator: the input names, then G<k> for additions."""
     names = list(problem.operators)
-    while len(names) < total:
-        names.append(f"G{len(names) + 1}")
-    return names
+    names += [f"G{k + 1}" for k in range(len(names), len(ops))]
+    return [(n, p.to_str()) for n, p in zip(names, ops)]
 
 
 def _parse_alpha(ring, value) -> tuple:
@@ -189,11 +190,13 @@ def _parse_alpha(ring, value) -> tuple:
     return tuple(entries)
 
 
-def _resolve_expr(problem: ProblemFile, expr):
+def _operand(problem: ProblemFile, doc: ResultDocument, expr):
+    """The command's operator, parsed if given as text and listed as an input."""
     if expr is None:
         raise UsageError("this command needs an operator expression")
     if isinstance(expr, str):
-        return parse_expression(expr, problem)
+        expr = parse_expression(expr, problem)
+    doc.inputs.append(f"operand = {expr.to_str()}")
     return expr
 
 
@@ -202,23 +205,19 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
                 tail: bool = False) -> ResultDocument:
     """Execute one subcommand against a parsed problem."""
     ring = problem.ring
-    names, ops = _named_ops(problem)
-    inputs = [f"{k} = {v.to_str()}" for k, v in problem.operators.items()]
-    doc = ResultDocument(command, _ring_info(ring), inputs, {})
-
+    ops = _input_ops(problem)
     if command == "run":
         payload = problem.command
         if payload is None:
             raise UsageError("the problem file carries no command statement")
-        return run_command(problem, payload.name, expr=payload.expr,
-                           alpha=payload.alpha, order_x=order_x, cap=cap,
-                           tail=tail)
+        command, expr, alpha = payload.name, payload.expr, payload.alpha
+    inputs = [f"{k} = {v.to_str()}" for k, v in problem.operators.items()]
+    doc = ResultDocument(command, _ring_info(ring), inputs, {})
 
     if command == "delta-gb":
         b = complete(ops, cap)
-        bnames = _basis_names(problem, len(b.ops))
         doc.outputs = {
-            "basis": [f"{n} = {p.to_str()}" for n, p in zip(bnames, b.ops)],
+            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
             "stair": [list(a) for a in b.stair],
             "cones": {_fmt(list(a)): _ideal_strs(b.cones[a], ring.names)
                       for a in b.stair},
@@ -233,39 +232,30 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
             "stats": dict(w.stats),
         }
     elif command == "reduce":
-        p = _resolve_expr(problem, expr)
-        doc.inputs.append(f"operand = {p.to_str()}")
+        p = _operand(problem, doc, expr)
         tr = reduce(p, GeneratorSet(ops, ring), tail=tail)
         doc.outputs = {
             "remainder": tr.remainder.to_str(),
-            "cofactors": {n: c.to_str() for n, c in zip(names, tr.cofactors)},
+            "cofactors": dict(_named(problem, tr.cofactors)),
             "steps": tr.steps,
         }
     elif command == "member":
-        p = _resolve_expr(problem, expr)
-        doc.inputs.append(f"operand = {p.to_str()}")
+        p = _operand(problem, doc, expr)
         b = complete(ops, cap)
-        bnames = _basis_names(problem, len(b.ops))
-        ok, tr = member(p, b)
+        tr = reduce(p, b.genset)
         doc.outputs = {
-            "basis": [f"{n} = {q.to_str()}" for n, q in zip(bnames, b.ops)],
+            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
             "stats": dict(b.stats),
         }
-        doc.verdict = ok
-        if ok:
-            doc.certificate = {
-                "cofactors": {n: c.to_str()
-                              for n, c in zip(bnames, tr.cofactors)},
-            }
+        doc.verdict = tr.remainder.is_zero()
+        if doc.verdict:
+            doc.certificate = {"cofactors": dict(_named(problem, tr.cofactors))}
         else:
-            doc.certificate = {
-                "remainder": reduce(p, b.genset).remainder.to_str(),
-            }
+            doc.certificate = {"remainder": tr.remainder.to_str()}
     elif command == "stair":
         b = complete(ops, cap)
-        bnames = _basis_names(problem, len(b.ops))
         doc.outputs = {
-            "basis": [f"{n} = {q.to_str()}" for n, q in zip(bnames, b.ops)],
+            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
             "stair": [list(a) for a in b.stair],
         }
     elif command == "cone":
@@ -287,7 +277,7 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
             "operators": [
                 {
                     "lambda": {n: lam.to_str(ring.names)
-                               for n, lam in zip(names, sop.lam)},
+                               for n, lam in zip(problem.operators, sop.lam)},
                     "operator": sop.operator.to_str(),
                 }
                 for sop in sops
@@ -383,11 +373,7 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
 
 # -- argument handling -------------------------------------------------------
 
-_SUBCOMMANDS = (
-    "run", "delta-gb", "gb", "reduce", "member", "stair", "cone", "sdelta",
-    "verify-delta-gb", "flatness", "finiteness", "syzygy", "compare",
-)
-
+# subcommand -> help line: "run", then the problem-file commands in order
 _HELP = {
     "run": "execute the command statement embedded in the problem file",
     "delta-gb": "complete the generators to a certified base",
@@ -411,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="bases for left ideals of linear differential operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _HELP:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("file", help="problem file")
         p.add_argument("--order", choices=sorted(ORDER_KINDS),
@@ -424,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound on basis additions (default 10000)")
         p.add_argument("--tail-reduce", action="store_true",
                        help="keep reducing below an irreducible head")
-        if name in ("reduce", "member"):
+        kind = COMMANDS.get(name)
+        if kind == "expr":
             p.add_argument("expr", help="operator expression")
-        if name in ("cone", "sdelta"):
+        elif kind == "alpha":
             p.add_argument("--alpha", required=True,
                            help="exponent tuple, e.g. '1,1' or '(1,1)'")
     return parser

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .diffop import DiffOp, RingSpec
 from .groebner import PolyIdeal, syzygies
-from .orders import ExpVec, divides, lcm_exp, sub_exp
+from .orders import ExpVec, divides, lcm_exp, minimal_indices, sub_exp
 from .poly import Poly
 
 
@@ -131,8 +131,8 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
     prev = None
     while not cur.is_zero():
         alpha = cur.exp_delta()
-        if prev is not None:
-            assert order.compare(alpha, prev) < 0  # strict descent
+        if prev is not None and order.compare(alpha, prev) >= 0:
+            raise AssertionError(f"reduction did not descend strictly at {alpha}")
         prev = alpha
         idxs = f.participants(alpha)
         qs = None
@@ -203,8 +203,8 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
             if part[pos].is_zero():
                 continue
             op = op + DiffOp.term(ring, sub_exp(alpha, f.exps[i]), part[pos]) * f.ops[i]
-        if not op.is_zero():
-            assert ring.order_delta.compare(op.exp_delta(), alpha) < 0
+        if not op.is_zero() and ring.order_delta.compare(op.exp_delta(), alpha) >= 0:
+            raise AssertionError(f"S-operator at {alpha} does not drop below it")
         out.append(SDeltaOp(alpha, tuple(lam), op))
     return out
 
@@ -233,9 +233,8 @@ def is_delta_groebner(f) -> bool:
 
 def minimal_stair(exps, order) -> tuple[ExpVec, ...]:
     """Minimal antichain of the exponent set under componentwise order."""
-    uniq = set(exps)
-    mins = [e for e in uniq if not any(o != e and divides(o, e) for o in uniq)]
-    return tuple(sorted(mins, key=order.key))
+    exps = list(exps)
+    return tuple(exps[t] for t in minimal_indices(exps, order.key))
 
 
 @dataclass

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from .orders import ExpVec, MonomialOrder, add_exp
-from .poly import Poly
+from .poly import Poly, content
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,7 @@ class DiffOp:
         content 1 and positive leading sign of the leading coefficient."""
         if not self.terms:
             return self
-        coeffs = [c for p in self.terms.values() for c in p.terms.values()]
-        g = gcd(*(abs(c.numerator) for c in coeffs))
-        l = lcm(*(c.denominator for c in coeffs))
-        out = Fraction(l, g) * self
+        out = (1 / content(c for p in self.terms.values() for c in p.terms.values())) * self
         if out.c_delta().lc(self.ring.x_order()) < 0:
             out = -out
         return out
@@ -311,8 +308,3 @@ def _as_op(ring: RingSpec, value, strict: bool = True):
     if isinstance(value, (int, Fraction, Poly)):
         return ring.embed(value)
     return NotImplemented if strict else None
-
-
-def leibniz_mul(p: DiffOp, q: DiffOp) -> DiffOp:
-    """Product in D; alias for the * operator."""
-    return p * q

@@ -10,10 +10,9 @@ Schreyer lifting transported back to the input list.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .orders import MonomialOrder, add_exp, divides, lcm_exp, sub_exp
-from .poly import Poly
+from .orders import MonomialOrder, add_exp, divides, lcm_exp, minimal_indices, sub_exp
+from .poly import Poly, content
 
 
 def divide(f: Poly, gens, order: MonomialOrder):
@@ -121,12 +120,7 @@ def _tracked_groebner(gens, order: MonomialOrder):
         return [], []
 
     # minimal base: drop anything whose lead is divisible by another lead
-    ordered = sorted(range(len(basis)), key=lambda t: (order.key(basis[t].lm(order)), t))
-    keep: list[int] = []
-    for t in ordered:
-        lt = basis[t].lm(order)
-        if not any(divides(basis[u].lm(order), lt) for u in keep):
-            keep.append(t)
+    keep = minimal_indices([p.lm(order) for p in basis], order.key)
 
     # tail reduction against the other survivors
     final: list[Poly] = []
@@ -144,9 +138,8 @@ def _tracked_groebner(gens, order: MonomialOrder):
             r, row = basis[t], exprs[t]
         final.append(r)
         final_exprs.append(row)
-
-    perm = sorted(range(len(final)), key=lambda t: order.key(final[t].lm(order)))
-    return [final[t] for t in perm], [final_exprs[t] for t in perm]
+    # the kept leads ascend and tail division keeps each one: no re-sort
+    return final, final_exprs
 
 
 def buchberger(gens, order: MonomialOrder) -> list[Poly]:
@@ -157,12 +150,9 @@ def buchberger(gens, order: MonomialOrder) -> list[Poly]:
 def _normalize_vector(vec, order: MonomialOrder):
     """Integer-primitive scaling; sign fixed so the last nonzero entry
     has negative leading coefficient.  Returns None for zero vectors."""
-    coeffs = [c for p in vec for c in p.terms.values()]
-    if not coeffs:
+    if not any(vec):
         return None
-    g = gcd(*(abs(c.numerator) for c in coeffs))
-    l = lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(l, g)
+    scale = 1 / content(c for p in vec for c in p.terms.values())
     vec = [p * scale for p in vec]
     for p in reversed(vec):
         if p:
@@ -192,7 +182,8 @@ def syzygies(gens, order: MonomialOrder) -> list[tuple[Poly, ...]]:
     B = []
     for g in gens:
         q, rem = divide(g, G, order)
-        assert rem.is_zero()
+        if rem:
+            raise AssertionError("a generator does not divide to zero by its own base")
         B.append(q)
 
     raw = []
@@ -205,7 +196,8 @@ def syzygies(gens, order: MonomialOrder) -> list[tuple[Poly, ...]]:
             s = mi * G[i] - mj * G[j]
             if s:
                 q, rem = divide(s, G, order)
-                assert rem.is_zero()
+                if rem:
+                    raise AssertionError("an S-polynomial of the base leaves a remainder")
             else:
                 q = [Poly.zero(nv)] * t
             vg = [-qq for qq in q]

@@ -50,6 +50,16 @@ def total_degree(a: ExpVec) -> int:
     return sum(a)
 
 
+def minimal_indices(leads, key, divides=divides) -> list[int]:
+    """Indices of the leads that no earlier-kept lead divides, visited
+    in ascending (key, index) order; of equal leads the first is kept."""
+    keep: list[int] = []
+    for t in sorted(range(len(leads)), key=lambda t: (key(leads[t]), t)):
+        if not any(divides(leads[u], leads[t]) for u in keep):
+            keep.append(t)
+    return keep
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A term order on N^k: lex, deglex or degrevlex.

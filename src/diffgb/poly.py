@@ -27,6 +27,16 @@ def display_order(nvars: int) -> MonomialOrder:
     return _DISPLAY_ORDERS[nvars]
 
 
+def content(coeffs) -> Fraction:
+    """Positive rational g with every c/g an integer and the quotients
+    coprime; 1 when there are no coefficients."""
+    coeffs = list(coeffs)
+    if not coeffs:
+        return Fraction(1)
+    return Fraction(gcd(*(abs(c.numerator) for c in coeffs)),
+                    lcm(*(c.denominator for c in coeffs)))
+
+
 class Poly:
     """Polynomial in ``nvars`` variables over Q."""
 
@@ -220,11 +230,7 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational g with self/g integer-primitive; 1 for zero."""
-        if not self.terms:
-            return Fraction(1)
-        nums = gcd(*(abs(c.numerator) for c in self.terms.values()))
-        dens = lcm(*(c.denominator for c in self.terms.values()))
-        return Fraction(nums, dens)
+        return content(self.terms.values())
 
     def primitive(self, order: MonomialOrder) -> "Poly":
         """Integer coefficients, content 1, positive leading coefficient."""

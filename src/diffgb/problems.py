@@ -26,10 +26,14 @@ from typing import NamedTuple
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, ORDER_KINDS
 
-COMMANDS = (
-    "delta-gb", "gb", "reduce", "member", "stair", "cone", "sdelta",
-    "verify-delta-gb", "flatness", "finiteness", "syzygy", "compare",
-)
+# command name -> argument kind: an operator expression, an exponent
+# tuple, or nothing
+COMMANDS = {
+    "delta-gb": None, "gb": None, "reduce": "expr", "member": "expr",
+    "stair": None, "cone": "alpha", "sdelta": "alpha",
+    "verify-delta-gb": None, "flatness": None, "finiteness": None,
+    "syzygy": None, "compare": None,
+}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -209,12 +213,13 @@ class _Parser:
         self._ensure_ring(toks[0])
         rest = toks[i:]
         cmd = Command(name)
-        if name in ("reduce", "member"):
+        kind = COMMANDS[name]
+        if kind == "expr":
             if not rest:
                 raise ParseError(f"'{name}' needs an operator expression",
                                  toks[0].line, toks[0].col)
             cmd.expr = _ExprParser(self, rest, toks[0]).parse_all()
-        elif name in ("cone", "sdelta"):
+        elif kind == "alpha":
             cmd.alpha = self._alpha(rest, toks[0])
         elif rest:
             t = rest[0]

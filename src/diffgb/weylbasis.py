@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
-from .orders import MonomialOrder, lcm_exp, sub_exp
-from .poly import Poly
+from .orders import MonomialOrder, lcm_exp, minimal_indices, sub_exp
+from .poly import Poly, content
 
 
 class WeylExp(NamedTuple):
@@ -119,8 +118,8 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         xe = max(slot, key=kx)
         c = slot[xe]
         we = WeylExp(xe, beta)
-        if prev is not None:
-            assert worder.compare(we, prev) < 0  # strict descent
+        if prev is not None and worder.compare(we, prev) >= 0:
+            raise AssertionError(f"division did not descend strictly at {we}")
         prev = we
         if _stats is not None:
             _stats["division_steps"] += 1
@@ -150,10 +149,7 @@ def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
     if p.is_zero():
         return p
-    coeffs = [c for q in p.terms.values() for c in q.terms.values()]
-    g = gcd(*(abs(c.numerator) for c in coeffs))
-    l = lcm(*(c.denominator for c in coeffs))
-    out = Fraction(l, g) * p
+    out = (1 / content(c for q in p.terms.values() for c in q.terms.values())) * p
     if _lead_full(out, worder)[1] < 0:
         out = -out
     return out
@@ -226,7 +222,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
              for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def chain_skip(i, j):
-        # lcm(i,j) covered by a third lead whose pairs with i and j are
+        # the lcm of i and j covered by a third lead whose pairs with i and j are
         # both treated already: S(i,j) then reduces through those two.
         # A skipped pair counts as treated; citations only ever point at
         # pairs popped earlier, so no two pairs can excuse each other.
@@ -269,13 +265,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         pairs.update(((t, new), pair_key(t, new)) for t in range(new))
 
     # minimal: drop elements whose lead another lead divides
-    order_idx = sorted(range(len(basis)),
-                       key=lambda t: (worder.key(leads[t]), t))
-    keep: list[int] = []
-    for t in order_idx:
-        if not any(_w_divides(leads[u], leads[t]) for u in keep):
-            keep.append(t)
-
+    keep = minimal_indices(leads, worder.key, _w_divides)
     final = []
     for t in keep:
         others = [basis[u] for u in keep if u != t]
@@ -284,7 +274,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         else:
             r = basis[t]
         final.append(_primitive_weyl(r, worder))
-    final.sort(key=lambda g: worder.key(exp_full(g, worder)))
+    # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)
 
 

@@ -8,6 +8,7 @@ closed Leibniz formula.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from diffgb import DiffOp, MonomialOrder, Poly, ProblemFile, RingSpec
 from diffgb.orders import add_exp, divides, sub_exp
@@ -78,6 +79,13 @@ def rand_op(rng, ring, max_order=2, max_terms=3, max_deg=2, zero_ok=False):
         return DiffOp.term(ring, (0,) * ring.n,
                            Poly.constant(ring.nvars, Fraction(1)))
     return op
+
+
+def integer_primitive(coeffs) -> bool:
+    """All coefficients are integers and their gcd is 1."""
+    coeffs = list(coeffs)
+    return all(c.denominator == 1 for c in coeffs) and gcd(
+        *(c.numerator for c in coeffs)) == 1
 
 
 def rand_point(rng, nvars):

@@ -1,11 +1,13 @@
 """Command line interface: subcommands, documents, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
-from diffgb.cli import main, run_command
-from diffgb.problems import parse_problem
+from diffgb import cli, deltabasis
+from diffgb.cli import _HELP, build_parser, main, run_command
+from diffgb.problems import COMMANDS, parse_problem
 
 EX6 = """\
 ring x1 x2
@@ -270,3 +272,44 @@ def test_header_lists_ring_and_inputs(tmp_path, capsys):
     assert lines[1] == "ring: x1 x2 | d1 d2 | order deglex"
     assert lines[2] == "input: P1 = (x1)*d1 + (x1)*d2 + (x1)"
     assert lines[3] == "input: P2 = (x2 - x1)*d2 + (-1)"
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommands_follow_the_command_table():
+    names = tuple(_subparsers())
+    assert names == ("run",) + tuple(COMMANDS)
+    assert tuple(_HELP) == names
+
+
+def test_every_subcommand_takes_all_flags():
+    for name, sub in _subparsers().items():
+        kind = COMMANDS.get(name)
+        argv = ["FILE", "--order", "lex", "--order-x", "degrevlex", "--json",
+                "--cap", "8", "--tail-reduce"]
+        argv += {"expr": ["d1"], "alpha": ["--alpha", "1,0"]}.get(kind, [])
+        args = sub.parse_args(argv)
+        assert (args.file, args.order, args.order_x, args.json, args.cap,
+                args.tail_reduce) == ("FILE", "lex", "degrevlex", True, 8, True)
+        assert getattr(args, "expr", None) == ("d1" if kind == "expr" else None)
+        assert getattr(args, "alpha", None) == ("1,0" if kind == "alpha" else None)
+
+
+def test_member_no_verdict_reduces_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = deltabasis.reduce
+
+    def counting(p, *args, **kwargs):
+        calls.append(p.to_str())
+        return original(p, *args, **kwargs)
+
+    # completion reduces its S-operators too; count only the query "1"
+    monkeypatch.setattr(cli, "reduce", counting)
+    monkeypatch.setattr(deltabasis, "reduce", counting)
+    rc, out = run(tmp_path, EX6, ["member", "FILE", "1"], capsys)
+    assert rc == 1 and "remainder: (1)" in out
+    assert calls.count("(1)") == 1

@@ -399,3 +399,18 @@ def test_certified_base_reduces_ideal_elements_to_zero_fuzz():
                 combo = combo + rand_op(rng, r, max_order=1, max_terms=2,
                                         max_deg=1, zero_ok=True) * g
             assert reduce(combo, b.genset).remainder.is_zero()
+
+
+def test_minimal_stair_matches_brute_force_with_duplicates():
+    rng = random.Random(91)
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        o = MonomialOrder(rng.choice(["lex", "deglex", "degrevlex"]))
+        exps = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(1, 8))]
+        exps += exps[: rng.randint(0, len(exps))]
+        rng.shuffle(exps)
+        uniq = set(exps)
+        antichain = [e for e in uniq if not any(d != e and all(
+            x <= y for x, y in zip(d, e)) for d in uniq)]
+        assert minimal_stair(exps, o) == tuple(sorted(antichain, key=o.key))
+        assert minimal_stair(iter(exps), o) == minimal_stair(exps, o)

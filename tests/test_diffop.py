@@ -9,6 +9,7 @@ from diffgb import DiffOp, MonomialOrder, Poly, RingSpec
 from helpers import (
     cone_example_ops,
     example6_ops,
+    integer_primitive,
     parse_op,
     rand_op,
     ring1,
@@ -222,3 +223,17 @@ def test_power():
     assert d1 ** 3 == d1 * d1 * d1
     with pytest.raises(ValueError):
         d1 ** -1
+
+
+def test_primitive_integer_content_one_positive_lead_fuzz():
+    rng = random.Random(47)
+    for _ in range(150):
+        r = ring2(rng.choice(["lex", "deglex"]), m=rng.randint(0, 1))
+        p = rand_op(rng, r) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        out = p.primitive()
+        assert integer_primitive(c for q in out.terms.values() for c in q.terms.values())
+        # lead positive under the d-order, then deglex on the coefficient
+        assert out.c_delta().lc(r.x_order()) > 0
+        scale = out.c_delta().lc(r.x_order()) / p.c_delta().lc(r.x_order())
+        assert out == p * scale
+    assert DiffOp.zero(ring1()).primitive().is_zero()

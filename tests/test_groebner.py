@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from diffgb import Poly, PolyIdeal, buchberger, divide, syzygies
+from diffgb.groebner import _normalize_vector
 from diffgb.orders import deglex, lex
 from helpers import (
+    integer_primitive,
     linear_membership,
     naive_divide,
     naive_reduced_groebner,
@@ -250,3 +252,21 @@ def test_expression_matrix_reconstructs_basis():
             rebuilt = sum((a[i][j] * gens[j] for j in range(len(gens))),
                           Poly.zero(2))
             assert rebuilt == gi
+
+
+def test_normalize_vector_integer_content_one_negative_last_lead_fuzz():
+    rng = random.Random(37)
+    for _ in range(150):
+        order = rng.choice([deglex(), lex()])
+        vec = [rand_poly(rng, 2, zero_ok=True) * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+               for _ in range(rng.randint(1, 4))]
+        out = _normalize_vector(vec, order)
+        if not any(vec):
+            assert out is None
+            continue
+        assert integer_primitive(c for p in out for c in p.terms.values())
+        # the last nonzero entry carries a negative leading coefficient
+        k = max(i for i, p in enumerate(vec) if p)
+        assert out[k].lc(order) < 0
+        scale = out[k].lc(order) / vec[k].lc(order)
+        assert list(out) == [p * scale for p in vec]

@@ -1,0 +1,46 @@
+"""Internal invariant checks stay in force under ``python -O``."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diffgb
+
+PACKAGE = Path(diffgb.__file__).parent
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; invariants must raise explicitly
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, "bare assert statements: " + ", ".join(found)
+
+
+# membership that claims success but cancels nothing: reduce then makes
+# no progress, and only its strict-descent check stops the loop
+STALLED_REDUCE = """
+import sys
+from diffgb import Poly, RingSpec, reduce
+from diffgb.groebner import PolyIdeal
+
+PolyIdeal.member_with_cofactors = (
+    lambda self, f: [Poly.zero(f.nvars) for _ in self.generators])
+ring = RingSpec(1)
+try:
+    reduce(ring.d(0), [ring.d(0)])
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+
+
+def test_reduce_descent_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", STALLED_REDUCE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 reduction did not descend strictly")

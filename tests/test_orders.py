@@ -15,6 +15,7 @@ from diffgb.orders import (
     divides,
     lcm_exp,
     lex,
+    minimal_indices,
     sub_exp,
     total_degree,
 )
@@ -141,3 +142,31 @@ def test_dickson_style_descent_terminates():
             cur = tuple(nxt)
             steps += 1
             assert steps < 200
+
+
+def test_minimal_indices_matches_brute_force_antichain():
+    rng = random.Random(14)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        o = rng.choice(ALL_ORDERS)
+        exps = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(1, 9))]
+        exps += [rng.choice(exps) for _ in range(rng.randint(0, 3))]  # repeats
+        rng.shuffle(exps)
+        keep = minimal_indices(exps, o.key)
+        uniq = set(exps)
+        antichain = {e for e in uniq
+                     if not any(d != e and divides(d, e) for d in uniq)}
+        assert sorted(exps[t] for t in keep) == sorted(antichain)
+        # ascending in the order, each lead kept at its first index
+        assert keep == sorted(keep, key=lambda t: (o.key(exps[t]), t))
+        assert all(exps.index(exps[t]) == t for t in keep)
+
+
+def test_minimal_indices_uses_the_given_divisibility():
+    def multiple(a, b):
+        return b[0] % a[0] == 0
+
+    leads = [(2,), (4,), (3,), (2,)]
+    assert minimal_indices(leads, deglex().key, multiple) == [0, 2]
+    assert minimal_indices(leads, deglex().key) == [0]
+    assert minimal_indices([], deglex().key) == []

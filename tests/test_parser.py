@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffgb import ParseError, parse_expression, parse_problem, rebind_order
-from diffgb.problems import _tokenize
+from diffgb.problems import COMMANDS, _tokenize
 from helpers import example6_ops, rand_op, ring2
 
 EX6 = """\
@@ -223,3 +223,16 @@ def test_round_trip_display_form():
         op = rand_op(rng, r, max_order=3, max_terms=4, max_deg=3, zero_ok=True)
         back = parse_expression(op.to_str(), pf)
         assert back == op
+
+
+def test_every_command_parses_with_its_argument():
+    args = {"expr": " d2*P1 - d1*P2", "alpha": " (1,0)", None: ""}
+    for name, kind in COMMANDS.items():
+        pf = parse_problem(EX6.replace("delta-gb", name + args[kind]))
+        assert pf.command.name == name
+        assert (pf.command.expr is not None) == (kind == "expr")
+        assert pf.command.alpha == ((1, 0) if kind == "alpha" else None)
+        # the argument is required exactly where the command takes one
+        wrong = "" if kind else " (1,0)"
+        with pytest.raises(ParseError):
+            parse_problem(EX6.replace("delta-gb", name + wrong))

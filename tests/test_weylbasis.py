@@ -2,6 +2,7 @@
 from them to the d-part base criterion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,8 @@ from diffgb import (
     s_operator_weyl,
 )
 from diffgb.deltabasis import CompletionCapExceeded
-from helpers import example6_ops, rand_op, rand_poly, ring1, ring2
+from diffgb.weylbasis import _lead_full, _primitive_weyl
+from helpers import example6_ops, integer_primitive, rand_op, rand_poly, ring1, ring2
 
 W = WeylOrder(MonomialOrder("deglex"), MonomialOrder("deglex"))
 
@@ -185,3 +187,19 @@ def test_delta_base_need_not_be_classical_base():
     _, p1, p2 = example6_ops()
     assert is_delta_groebner(GeneratorSet([p1, p2]))
     assert not is_gb([p1, p2], W)
+
+
+def test_primitive_weyl_integer_content_one_positive_lead_fuzz():
+    rng = random.Random(67)
+    orders = [W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex")),
+              WeylOrder(MonomialOrder("deglex", (1, 0)), MonomialOrder("lex"))]
+    for _ in range(150):
+        worder = rng.choice(orders)
+        r = ring2(worder.order_d.kind)
+        p = rand_op(rng, r) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        out = _primitive_weyl(p, worder)
+        assert integer_primitive(c for q in out.terms.values() for c in q.terms.values())
+        # lead positive under the elimination order itself
+        (w, c), (w0, c0) = _lead_full(out, worder), _lead_full(p, worder)
+        assert w == w0 and c > 0
+        assert out == p * (c / c0)
