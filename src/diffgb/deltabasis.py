@@ -144,14 +144,14 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
                 q = qs[pos]
                 if q.is_zero():
                     continue
-                t = DiffOp.term(ring, sub_exp(alpha, f.exps[i]), q)
+                t = DiffOp._make(ring, {sub_exp(alpha, f.exps[i]): q})
                 cof[i] = cof[i] + t
                 cur = cur - t * f.ops[i]
             continue
         if not tail:
             rem = cur
             break
-        head = DiffOp.term(ring, alpha, cur.c_delta())
+        head = DiffOp._make(ring, {alpha: cur.c_delta()})
         rem = rem + head
         cur = cur - head
         steps += 1
@@ -193,16 +193,19 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     if alpha not in lcm_targets(f):
         raise ValueError(f"{alpha} is not an lcm target of the generator exponents")
     idxs = f.participants(alpha)
-    coeffs = [f[i].c_delta() for i in idxs]
+    # the cone ideal holds these same coefficients in this same order,
+    # so its cached base is the one syzygies would compute
+    cone = f.cone_ideal(alpha)
+    basis = (cone.groebner, cone.expression_matrix)
     out = []
-    for part in syzygies(coeffs, ring.x_order()):
+    for part in syzygies(cone.generators, ring.x_order(), _basis=basis):
         lam = [Poly.zero(ring.nvars) for _ in f.ops]
         op = DiffOp.zero(ring)
         for pos, i in enumerate(idxs):
             lam[i] = part[pos]
             if part[pos].is_zero():
                 continue
-            op = op + DiffOp.term(ring, sub_exp(alpha, f.exps[i]), part[pos]) * f.ops[i]
+            op = op + DiffOp._make(ring, {sub_exp(alpha, f.exps[i]): part[pos]}) * f.ops[i]
         if not op.is_zero() and ring.order_delta.compare(op.exp_delta(), alpha) >= 0:
             raise AssertionError(f"S-operator at {alpha} does not drop below it")
         out.append(SDeltaOp(alpha, tuple(lam), op))
@@ -259,6 +262,14 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
     """Run completion: repeatedly append the normalized remainder of the
     first failing S-operator until everything reduces to zero.
 
+    Each addition builds a new generator set, and the cone ideals
+    computed so far carry over to it with their Groebner bases.  This
+    is sound because generators are only ever appended: a participant
+    index tuple names the same leading coefficients, in the same order,
+    in every round.  At the end only the cones at the stair are kept,
+    the ones the base reports, so a finished base does not hold the
+    bases of every cone the completion visited.
+
     Raises CompletionCapExceeded after ``cap`` additions.
     """
     f = GeneratorSet.wrap(f)
@@ -278,8 +289,12 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
                 f"completion exceeded the cap of {cap} additions")
         ops.append(tr.remainder.primitive())
         stats["additions"] += 1
+        cones = gs._cones
         gs = GeneratorSet(tuple(ops), ring)
+        gs._cones = cones
     stair = minimal_stair(gs.exps, ring.order_delta)
+    live = {gs.participants(a) for a in stair}
+    gs._cones = {k: v for k, v in gs._cones.items() if k in live}
     cones = {a: gs.cone_ideal(a) for a in stair}
     return DeltaBasis(tuple(ops), ring, stair, cones, stats, gs)
 

@@ -48,6 +48,9 @@ class RingSpec:
             raise ValueError("variable names must be pairwise distinct")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "dnames", dnames)
+        # not a field: one instance per ring, so every ideal of H built
+        # from this ring shares its key cache
+        object.__setattr__(self, "_x_order", MonomialOrder("deglex"))
 
     @property
     def nvars(self) -> int:
@@ -55,7 +58,7 @@ class RingSpec:
 
     def x_order(self) -> MonomialOrder:
         """Order used for all commutative computations in H."""
-        return MonomialOrder("deglex")
+        return self._x_order
 
     def x(self, i: int) -> Poly:
         return Poly.variable(self.nvars, i)
@@ -141,6 +144,17 @@ class DiffOp:
         self.terms = data
         self._lead = None
 
+    @classmethod
+    def _make(cls, ring: RingSpec, data: dict) -> "DiffOp":
+        """Trusted constructor: no validation, ``data`` is kept as is.
+        The caller guarantees valid d-exponents, nonzero coefficients
+        from ``ring``'s polynomial ring, and an unshared dict."""
+        op = object.__new__(cls)
+        op.ring = ring
+        op.terms = data
+        op._lead = None
+        return op
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -211,23 +225,37 @@ class DiffOp:
         data = dict(self.terms)
         for e, p in other.terms.items():
             s = data.get(e)
-            s = p if s is None else s + p
-            if s:
-                data[e] = s
+            if s is None:
+                data[e] = p
             else:
-                data.pop(e, None)
-        return DiffOp(self.ring, data)
+                s = s + p
+                if s:
+                    data[e] = s
+                else:
+                    del data[e]
+        return DiffOp._make(self.ring, data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffOp(self.ring, {e: -p for e, p in self.terms.items()})
+        return DiffOp._make(self.ring, {e: -p for e, p in self.terms.items()})
 
     def __sub__(self, other):
         other = _as_op(self.ring, other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        data = dict(self.terms)
+        for e, p in other.terms.items():
+            s = data.get(e)
+            if s is None:
+                data[e] = -p
+            else:
+                s = s - p
+                if s:
+                    data[e] = s
+                else:
+                    del data[e]
+        return DiffOp._make(self.ring, data)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -245,7 +273,7 @@ class DiffOp:
                     v = p1 * q
                     cur = acc.get(e)
                     acc[e] = v if cur is None else cur + v
-        return DiffOp(self.ring, acc)
+        return DiffOp._make(self.ring, {e: p for e, p in acc.items() if p})
 
     def __rmul__(self, other):
         left = _as_op(self.ring, other)

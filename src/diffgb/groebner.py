@@ -44,16 +44,17 @@ def divide(f: Poly, gens, order: MonomialOrder):
                 quot[i][qe] = q
                 for me, mc in gens[i].terms.items():
                     te = add_exp(qe, me)
-                    nc = work.get(te, 0) - q * mc
+                    nc = work.get(te)
+                    nc = -q * mc if nc is None else nc - q * mc
                     if nc:
                         work[te] = nc
                     else:
-                        work.pop(te, None)
+                        del work[te]
                 break
         else:
             rem[pe] = pc
             del work[pe]
-    return [Poly(nv, d) for d in quot], Poly(nv, rem)
+    return [Poly._make(nv, d) for d in quot], Poly._make(nv, rem)
 
 
 def _tracked_groebner(gens, order: MonomialOrder):
@@ -103,8 +104,8 @@ def _tracked_groebner(gens, order: MonomialOrder):
         l = lcm_exp(ei, ej)
         if l == add_exp(ei, ej):
             continue  # coprime leads: S-polynomial reduces to zero
-        mi = Poly.monomial(nv, sub_exp(l, ei))
-        mj = Poly.monomial(nv, sub_exp(l, ej))
+        mi = Poly._make(nv, {sub_exp(l, ei): one})
+        mj = Poly._make(nv, {sub_exp(l, ej): one})
         s = mi * basis[i] - mj * basis[j]
         row = [mi * a - mj * b for a, b in zip(exprs[i], exprs[j])]
         q, r = divide(s, basis, order)
@@ -162,12 +163,15 @@ def _normalize_vector(vec, order: MonomialOrder):
     return tuple(vec)
 
 
-def syzygies(gens, order: MonomialOrder) -> list[tuple[Poly, ...]]:
+def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     """Generators of the syzygy module of ``gens`` (all entries nonzero).
 
     Schreyer's construction on the reduced base, transported back to
     the input coordinates, plus the rows of I - B*A that express the
-    divisions of the inputs through the base.
+    divisions of the inputs through the base.  ``_basis`` is the
+    ``(G, A)`` pair of ``_tracked_groebner(gens, order)`` when the
+    caller already holds it (a cone ideal's cache); it must come from
+    the same generators in the same order.
     """
     gens = list(gens)
     if any(g.is_zero() for g in gens):
@@ -176,7 +180,8 @@ def syzygies(gens, order: MonomialOrder) -> list[tuple[Poly, ...]]:
     if r == 0:
         return []
     nv = gens[0].nvars
-    G, A = _tracked_groebner(gens, order)
+    one = Fraction(1)
+    G, A = _tracked_groebner(gens, order) if _basis is None else _basis
     t = len(G)
 
     B = []
@@ -191,8 +196,8 @@ def syzygies(gens, order: MonomialOrder) -> list[tuple[Poly, ...]]:
         for j in range(i + 1, t):
             ei, ej = G[i].lm(order), G[j].lm(order)
             l = lcm_exp(ei, ej)
-            mi = Poly.monomial(nv, sub_exp(l, ei))
-            mj = Poly.monomial(nv, sub_exp(l, ej))
+            mi = Poly._make(nv, {sub_exp(l, ei): one})
+            mj = Poly._make(nv, {sub_exp(l, ej): one})
             s = mi * G[i] - mj * G[j]
             if s:
                 q, rem = divide(s, G, order)

@@ -4,12 +4,24 @@ Terms live in a dict mapping exponent tuple -> Fraction; zero
 coefficients are never stored, so equal polynomials have equal dicts.
 Instances are immutable by convention: no method touches ``terms``
 after construction.
+
+``Poly(nvars, terms)`` validates and normalizes its input: exponents
+are checked, coefficients converted to ``Fraction``, repeated exponents
+summed and zeros dropped.  Arithmetic results are built instead with
+the trusted constructor ``Poly._make(nvars, data)``, which stores the
+dict as given.  Its caller guarantees that every exponent is a tuple of
+``nvars`` nonnegative ints, every coefficient is a nonzero ``Fraction``,
+and no one else holds a reference to ``data``.  Breaking the contract
+breaks equality and hashing silently, so ``_make`` is for code in this
+package that builds the dict itself; input from users goes through
+``Poly(...)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add
 
 from .orders import ExpVec, MonomialOrder, total_degree
 
@@ -63,15 +75,25 @@ class Poly:
         self.nvars = nvars
         self.terms = data
 
+    @classmethod
+    def _make(cls, nvars: int, data: dict) -> "Poly":
+        """Trusted constructor: no validation, ``data`` is kept as is
+        (see the module docstring for the caller's contract)."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = data
+        return p
+
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls._make(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        c = Fraction(c)
+        return cls._make(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -132,23 +154,38 @@ class Poly:
             return NotImplemented
         data = dict(self.terms)
         for e, c in other.terms.items():
-            s = data.get(e, Fraction(0)) + c
-            if s:
-                data[e] = s
+            s = data.get(e)
+            if s is None:
+                data[e] = c
             else:
-                data.pop(e, None)
-        return Poly(self.nvars, data)
+                s += c
+                if s:
+                    data[e] = s
+                else:
+                    del data[e]
+        return Poly._make(self.nvars, data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        data = dict(self.terms)
+        for e, c in other.terms.items():
+            s = data.get(e)
+            if s is None:
+                data[e] = -c
+            else:
+                s -= c
+                if s:
+                    data[e] = s
+                else:
+                    del data[e]
+        return Poly._make(self.nvars, data)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -160,13 +197,17 @@ class Poly:
         data: dict[ExpVec, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = data.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    data[e] = s
+                e = tuple(map(add, e1, e2))
+                s = data.get(e)
+                if s is None:
+                    data[e] = c1 * c2
                 else:
-                    del data[e]
-        return Poly(self.nvars, data)
+                    s += c1 * c2
+                    if s:
+                        data[e] = s
+                    else:
+                        del data[e]
+        return Poly._make(self.nvars, data)
 
     __rmul__ = __mul__
 
@@ -182,12 +223,10 @@ class Poly:
         """Formal derivative with respect to variable ``i``."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        data = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = e[:i] + (e[i] - 1,) + e[i + 1:]
-                data[de] = data.get(de, Fraction(0)) + c * e[i]
-        return Poly(self.nvars, data)
+        # e -> e - unit_i is injective, so no two terms land together
+        return Poly._make(self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items() if e[i]})
 
     def partial_multi(self, gamma: ExpVec) -> "Poly":
         """Iterated derivative d^gamma; stops early once zero."""

@@ -11,9 +11,10 @@ A problem is a sequence of statements separated by newlines or ';'.
     delta-gb            # optional command payload
 
 Expressions use + - * ^ ( ), integer and p/q literals; '*' is required
-between factors and '^' takes a nonnegative integer.  Everything is
-normalized through the operator product while parsing, so definitions
-like ``d1*x1`` come out in normal form immediately.
+between factors and '^' takes a nonnegative integer of at most
+MAX_EXPONENT.  Everything is normalized through the operator product
+while parsing, so definitions like ``d1*x1`` come out in normal form
+immediately.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ COMMANDS = {
     "verify-delta-gb": None, "flatness": None, "finiteness": None,
     "syzygy": None, "compare": None,
 }
+
+# largest exponent '^' accepts: a power is expanded by repeated
+# multiplication, so an unbounded one could stall the parser
+MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -328,6 +333,12 @@ class _ExprParser:
                 bad = e if e is not None else t
                 raise ParseError("'^' needs a nonnegative integer exponent",
                                  bad.line, bad.col)
+            # compare the digit count first: int() of a huge literal is
+            # itself slow and, past 4300 digits, refused by Python
+            digits = e.value.lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(e.value) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}",
+                                 e.line, e.col)
             self.pos += 1
             value = value ** int(e.value)
 

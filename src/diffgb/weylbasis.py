@@ -103,11 +103,12 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         for beta, pl in op.terms.items():
             slot = work.setdefault(beta, {})
             for xe, c in pl.terms.items():
-                nc = slot.get(xe, 0) - c
+                nc = slot.get(xe)
+                nc = -c if nc is None else nc - c
                 if nc:
                     slot[xe] = nc
                 else:
-                    slot.pop(xe, None)
+                    del slot[xe]
             if not slot:
                 del work[beta]
 
@@ -126,11 +127,10 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         for i, (hw, hc) in enumerate(heads):
             if _w_divides(hw, we):
                 dshift = sub_exp(we.d, hw.d)
-                mono = DiffOp.term(
-                    ring, dshift,
-                    Poly.monomial(nv, sub_exp(we.x, hw.x), c / hc))
-                cslot = cofd[i].setdefault(dshift, {})
-                cslot[sub_exp(we.x, hw.x)] = c / hc
+                xshift = sub_exp(we.x, hw.x)
+                q = c / hc
+                cofd[i].setdefault(dshift, {})[xshift] = q
+                mono = DiffOp._make(ring, {dshift: Poly._make(nv, {xshift: q})})
                 sub_into(mono * gens[i])
                 break
         else:
@@ -139,9 +139,10 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
             if not slot:
                 del work[beta]
 
-    cof = [DiffOp(ring, {b: Poly(nv, xs) for b, xs in d.items()})
+    # strict descent writes each (d, x) slot once, with a nonzero Fraction
+    cof = [DiffOp._make(ring, {b: Poly._make(nv, xs) for b, xs in d.items()})
            for d in cofd]
-    rem = DiffOp(ring, {b: Poly(nv, xs) for b, xs in remd.items()})
+    rem = DiffOp._make(ring, {b: Poly._make(nv, xs) for b, xs in remd.items()})
     return cof, rem
 
 
@@ -162,10 +163,10 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
     ring = f.ring
     nv = ring.nvars
     l = WeylExp(lcm_exp(wf.x, wg.x), lcm_exp(wf.d, wg.d))
-    mf = DiffOp.term(ring, sub_exp(l.d, wf.d),
-                     Poly.monomial(nv, sub_exp(l.x, wf.x), Fraction(1) / cf))
-    mg = DiffOp.term(ring, sub_exp(l.d, wg.d),
-                     Poly.monomial(nv, sub_exp(l.x, wg.x), Fraction(1) / cg))
+    mf = DiffOp._make(ring, {sub_exp(l.d, wf.d):
+                             Poly._make(nv, {sub_exp(l.x, wf.x): Fraction(1) / cf})})
+    mg = DiffOp._make(ring, {sub_exp(l.d, wg.d):
+                             Poly._make(nv, {sub_exp(l.x, wg.x): Fraction(1) / cg})})
     return mf * f - mg * g
 
 

@@ -10,7 +10,17 @@ closed Leibniz formula.
 from fractions import Fraction
 from math import gcd
 
-from diffgb import DiffOp, MonomialOrder, Poly, ProblemFile, RingSpec
+from diffgb import (
+    CompletionCapExceeded,
+    DiffOp,
+    GeneratorSet,
+    MonomialOrder,
+    Poly,
+    ProblemFile,
+    RingSpec,
+    minimal_stair,
+)
+from diffgb.deltabasis import _first_failure
 from diffgb.orders import add_exp, divides, sub_exp
 from diffgb.problems import parse_expression
 
@@ -90,6 +100,27 @@ def integer_primitive(coeffs) -> bool:
 
 def rand_point(rng, nvars):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)]
+
+
+# -- canonical storage --------------------------------------------------------
+
+def assert_canonical_poly(p):
+    """p is stored exactly as the validating constructor stores it:
+    nvars-long exponent tuples and nonzero Fraction coefficients."""
+    assert p == Poly(p.nvars, p.terms)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == p.nvars
+        assert type(c) is Fraction and c != 0
+
+
+def assert_canonical_op(op):
+    """The DiffOp analogue: n-long d-exponents, nonzero canonical
+    coefficients from the ring's polynomial ring."""
+    assert op == DiffOp(op.ring, op.terms)
+    for e, c in op.terms.items():
+        assert type(e) is tuple and len(e) == op.ring.n
+        assert isinstance(c, Poly) and c.nvars == op.ring.nvars and c
+        assert_canonical_poly(c)
 
 
 # -- polynomial division and Buchberger, the slow way ------------------------
@@ -249,3 +280,24 @@ def slow_mul(p, q):
         scaled = DiffOp(ring, {ee: c * cc for ee, cc in part.terms.items()})
         total = total + scaled
     return total
+
+
+# -- completion without carried-over caches ----------------------------------
+
+def rebuild_complete(ops, cap=10000):
+    """Completion that builds a fresh GeneratorSet, with empty cone
+    caches, in every round.  Returns (ops, stair, stats)."""
+    ring = ops[0].ring
+    ops = list(ops)
+    stats = {"rounds": 0, "s_operators": 0, "reductions": 0,
+             "reduction_steps": 0, "additions": 0}
+    while True:
+        gs = GeneratorSet(tuple(ops), ring)
+        stats["rounds"] += 1
+        hit = _first_failure(gs, stats)
+        if hit is None:
+            return tuple(ops), minimal_stair(gs.exps, ring.order_delta), stats
+        if stats["additions"] >= cap:
+            raise CompletionCapExceeded(f"completion exceeded the cap of {cap} additions")
+        ops.append(hit[1].remainder.primitive())
+        stats["additions"] += 1

@@ -1,0 +1,58 @@
+"""The benchmark's traced run reaches into the library by name.
+
+``perfbench/spans.py`` wraps library functions found through
+``vars(owner)[attr]``, and the harness reads ``MonomialOrder._key_cache``.
+A refactor that renames or moves one of them breaks ``--trace 1``
+without failing any library test; these tests make it fail here.
+The benchmark files are only imported, never changed.
+"""
+
+import gc
+import importlib.util
+from pathlib import Path
+
+import diffgb as dg
+from helpers import example6_ops
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_span_target_resolves():
+    targets = load_spans().targets(dg)
+    assert targets
+    for name, owner, attr, _, _ in targets:
+        assert attr in vars(owner), name
+        assert callable(vars(owner)[attr]), name
+
+
+def test_tracer_installs_records_and_uninstalls():
+    spans = load_spans()
+    before = {(id(o), a): vars(o)[a] for _, o, a, _, _ in spans.targets(dg)}
+    tracer = spans.Tracer()
+    tracer.install(dg)
+    try:
+        _, p1, p2 = example6_ops(b="1")
+        dg.complete([p1, p2])
+    finally:
+        tracer.uninstall()
+    for name in ("deltabasis.complete", "deltabasis.s_delta_operators",
+                 "deltabasis.reduce", "groebner.syzygies",
+                 "groebner.tracked_groebner", "diffop.mul", "poly.mul"):
+        assert tracer.agg[name][0] > 0, name
+    assert {(id(o), a): vars(o)[a] for _, o, a, _, _ in spans.targets(dg)} == before
+
+
+def test_monomial_orders_keep_the_key_cache():
+    o = dg.MonomialOrder("deglex")
+    o.key((1, 2))
+    assert o._key_cache == {(1, 2): o.key((1, 2))}
+    # the harness's key_cache_entries sums this over every live order
+    orders = [x for x in gc.get_objects() if isinstance(x, dg.MonomialOrder)]
+    assert sum(len(x._key_cache) for x in orders) >= 1

@@ -23,9 +23,19 @@ from diffgb import (
     reduce,
     s_delta_operators,
 )
+from diffgb import groebner
 from diffgb.diffop import RingSpec
 from diffgb.orders import MonomialOrder
-from helpers import cone_example_ops, example6_ops, parse_op, rand_op, ring1, ring2
+from helpers import (
+    cone_example_ops,
+    example6_ops,
+    parse_op,
+    rand_op,
+    rand_poly,
+    rebuild_complete,
+    ring1,
+    ring2,
+)
 
 
 def ideal_eq(ideal, gens, order):
@@ -326,6 +336,84 @@ def test_complete_rejects_empty_and_zero():
         complete([])
     with pytest.raises(ValueError):
         complete([DiffOp.zero(r)])
+
+
+# -- cone ideals shared across rounds -------------------------------------------
+
+
+def _completion_inputs():
+    """Fixed pairs plus seeded random inputs, several of which grow."""
+    out = [(example6_ops(b="1")[1:], 8), (example6_ops()[1:], 8),
+           (cone_example_ops()[1:], 3),
+           ((parse_op(ring2(), "x1*d1 + d2"), parse_op(ring2(), "x1")), 8)]
+    rng = random.Random(57)
+    for k in range(24):
+        r = ring2(m=k % 2)
+        gens = tuple(rand_op(rng, r, max_order=2, max_terms=2, max_deg=1)
+                     for _ in range(rng.randint(1, 2)))
+        out.append((gens, 4))
+    return out
+
+
+def _outcome(run):
+    try:
+        return run()
+    except CompletionCapExceeded as exc:
+        return str(exc)
+
+
+def test_complete_matches_rebuild_every_round_oracle():
+    grew = 0
+    for gens, cap in _completion_inputs():
+        want = _outcome(lambda: rebuild_complete(gens, cap))
+        got = _outcome(lambda: complete(gens, cap=cap))
+        if not isinstance(want, str):
+            got = (got.ops, got.stair, got.stats)
+            grew += want[2]["additions"] > 0
+        assert got == want
+    assert grew >= 3
+
+
+def test_complete_computes_each_cone_base_once(monkeypatch):
+    real = groebner._tracked_groebner
+    seen = []
+
+    def counting(gens, order):
+        seen.append(tuple(gens))
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "_tracked_groebner", counting)
+    for pair, cap in [(example6_ops(b="1")[1:], 8), (cone_example_ops()[1:], 3)]:
+        seen.clear()
+        try:
+            complete(pair, cap=cap)
+        except CompletionCapExceeded:
+            pass
+        assert seen
+        assert len(seen) == len(set(seen))
+
+
+def test_syzygies_with_precomputed_base_fuzz():
+    rng = random.Random(59)
+    o = MonomialOrder("deglex")
+    for _ in range(40):
+        nv = rng.randint(1, 3)
+        gens = [rand_poly(rng, nv, max_deg=2, max_terms=3)
+                for _ in range(rng.randint(1, 4))]
+        ideal = PolyIdeal(tuple(gens), o)
+        base = (ideal.groebner, ideal.expression_matrix)
+        assert groebner.syzygies(gens, o, _basis=base) == groebner.syzygies(gens, o)
+
+
+def test_complete_keeps_only_the_stair_cones():
+    for gens, cap in _completion_inputs():
+        try:
+            b = complete(gens, cap=cap)
+        except CompletionCapExceeded:
+            continue
+        gs = b.genset
+        assert set(gs._cones) == {gs.participants(a) for a in b.stair}
+        assert all(b.cones[a] is gs.cone_ideal(a) for a in b.stair)
 
 
 # -- stair and cones of the ideal ---------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from diffgb import DiffOp, MonomialOrder, Poly, RingSpec
 from helpers import (
+    assert_canonical_op,
     cone_example_ops,
     example6_ops,
     integer_primitive,
@@ -237,3 +238,25 @@ def test_primitive_integer_content_one_positive_lead_fuzz():
         scale = out.c_delta().lc(r.x_order()) / p.c_delta().lc(r.x_order())
         assert out == p * scale
     assert DiffOp.zero(ring1()).primitive().is_zero()
+
+
+def test_leibniz_product_drops_cancelled_terms():
+    r = ring1()
+    d1 = r.d(0)
+    # d1 * (x1 d1 - 1) = x1 d1^2 + d1 - d1: the d1 accumulator cancels
+    prod = d1 * parse_op(r, "x1*d1 - 1")
+    assert prod.terms == {(2,): r.x(0)}
+    assert_canonical_op(prod)
+
+
+def test_arithmetic_results_are_canonical_fuzz():
+    rng = random.Random(63)
+    for _ in range(100):
+        r = ring2(m=rng.randint(0, 1)) if rng.random() < 0.7 else ring1()
+        p = rand_op(rng, r, zero_ok=True)
+        q = rand_op(rng, r, zero_ok=True)
+        prod = p * q
+        assert prod == slow_mul(p, q)
+        for op in (prod, q * p - prod, p + q, p - q, -p, p - p, p + (-p),
+                   (p + q) - q, 3 * p, p * Fraction(-1, 2), p + r.x(0)):
+            assert_canonical_op(op)

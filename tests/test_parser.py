@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffgb import ParseError, parse_expression, parse_problem, rebind_order
-from diffgb.problems import COMMANDS, _tokenize
+from diffgb.problems import COMMANDS, MAX_EXPONENT, _tokenize
 from helpers import example6_ops, rand_op, ring2
 
 EX6 = """\
@@ -147,6 +147,16 @@ def test_error_bad_exponent():
     with pytest.raises(ParseError) as err:
         parse_problem("ring x1\ndvars d1\nP = x1^x1\n")
     assert "exponent" in str(err.value)
+
+
+def test_exponent_limit():
+    pf = parse_problem(f"ring x1\ndvars d1\nP = x1^{MAX_EXPONENT}\n")
+    assert pf.operators["P"].c_delta().degree() == MAX_EXPONENT
+    for exp in (str(MAX_EXPONENT + 1), "1000000", "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"ring x1\ndvars d1\nP = x1^{exp}\n")
+        assert (err.value.line, err.value.col) == (3, 8)
+        assert "limit" in err.value.message
 
 
 def test_error_division_by_zero_literal():

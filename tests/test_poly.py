@@ -7,7 +7,7 @@ import pytest
 
 from diffgb import Poly, RingSpec
 from diffgb.orders import deglex, lex
-from helpers import rand_point, rand_poly
+from helpers import assert_canonical_poly, rand_point, rand_poly
 
 
 def P(nvars, items):
@@ -157,3 +157,19 @@ def test_hash_equals_contract():
     b = P(2, [((0, 1), 1), ((1, 0), 1)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_arithmetic_results_are_canonical_fuzz():
+    # results skip the validating constructor; each must equal its
+    # revalidated copy and hold no zero or non-Fraction coefficient
+    rng = random.Random(61)
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        f = rand_poly(rng, nv, max_deg=3, max_terms=4, zero_ok=True)
+        g = rand_poly(rng, nv, max_deg=3, max_terms=4, zero_ok=True)
+        k = rng.randint(-3, 3)
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        for p in (f + g, f - g, f * g, -f, f - f, f + (-f), (f + g) - g,
+                  (f * g) - g * f, f * k, k * f, f * s, s - f, f + k, k - f,
+                  f.partial(rng.randrange(nv)), f ** 2):
+            assert_canonical_poly(p)
