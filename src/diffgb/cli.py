@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .deltabasis import (
@@ -62,17 +62,7 @@ class ResultDocument:
     certificate: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "ring": self.ring,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "verdict": self.verdict,
-                "certificate": self.certificate,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]
@@ -124,14 +114,11 @@ def _render_block(value, depth: int) -> list[str]:
     elif isinstance(value, list):
         for item in value:
             if isinstance(item, dict):
-                mark = "- "
-                for k, v in item.items():
-                    if _simple(v):
-                        lines.append(f"{pad}{mark}{k}: {_fmt(v)}")
-                    else:
-                        lines.append(f"{pad}{mark}{k}:")
-                        lines.extend(_render_block(v, depth + 2))
-                    mark = "  "
+                # one level deeper, the first line marked as a list item
+                block = _render_block(item, depth + 1)
+                if block:
+                    block[0] = f"{pad}- {block[0][len(pad) + 2:]}"
+                lines.extend(block)
             elif isinstance(item, list) and all(_simple(t) for t in item):
                 lines.append(pad + "(" + ", ".join(_fmt(t) for t in item) + ")")
             elif _simple(item):

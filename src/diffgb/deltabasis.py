@@ -24,24 +24,32 @@ class CompletionCapExceeded(RuntimeError):
 
 
 class GeneratorSet:
-    """Ordered nonzero generators over one ring, with cached cone ideals."""
+    """Nonzero generators over one ring, with cached cone ideals.
+
+    The set only grows: a generator is appended at the end and never
+    removed or moved.  So a participant index tuple always names the
+    same leading coefficients in the same order, and a cone ideal
+    cached under it stays valid however many generators follow.
+    """
 
     def __init__(self, ops, ring: RingSpec | None = None):
         ops = tuple(ops)
         if not ops:
             raise ValueError("need at least one generator")
-        if ring is None:
-            ring = ops[0].ring
-        for p in ops:
-            if not isinstance(p, DiffOp) or p.ring != ring:
-                raise ValueError("generators must be operators over one ring")
-            if p.is_zero():
-                raise ValueError("zero operators cannot generate")
-        self.ops = ops
-        self.ring = ring
-        self._exps: tuple[ExpVec, ...] | None = None
+        self.ring = ops[0].ring if ring is None else ring
+        self.ops: tuple[DiffOp, ...] = ()
+        self.exps: tuple[ExpVec, ...] = ()
         self._cones: dict[tuple[int, ...], PolyIdeal] = {}
-        self._targets: list[ExpVec] | None = None
+        for p in ops:
+            self._append(p)
+
+    def _append(self, p: DiffOp) -> None:
+        if not isinstance(p, DiffOp) or p.ring != self.ring:
+            raise ValueError("generators must be operators over one ring")
+        if p.is_zero():
+            raise ValueError("zero operators cannot generate")
+        self.ops += (p,)
+        self.exps += (p.exp_delta(),)
 
     @classmethod
     def wrap(cls, f) -> "GeneratorSet":
@@ -55,12 +63,6 @@ class GeneratorSet:
 
     def __getitem__(self, i):
         return self.ops[i]
-
-    @property
-    def exps(self) -> tuple[ExpVec, ...]:
-        if self._exps is None:
-            self._exps = tuple(p.exp_delta() for p in self.ops)
-        return self._exps
 
     def participants(self, alpha: ExpVec) -> tuple[int, ...]:
         """Indices whose leading d-exponent divides alpha."""
@@ -162,16 +164,10 @@ def lcm_targets(f) -> list[ExpVec]:
     """Closure of the leading exponents under componentwise lcm,
     sorted ascending in the active order."""
     f = GeneratorSet.wrap(f)
-    if f._targets is None:
-        exps = set(f.exps)
-        targets = set(exps)
-        while True:
-            fresh = {lcm_exp(a, b) for a in targets for b in exps} - targets
-            if not fresh:
-                break
-            targets |= fresh
-        f._targets = sorted(targets, key=f.ring.order_delta.key)
-    return list(f._targets)
+    targets: set[ExpVec] = set()
+    for e in f.exps:
+        targets |= {e} | {lcm_exp(t, e) for t in targets}
+    return sorted(targets, key=f.ring.order_delta.key)
 
 
 @dataclass
@@ -190,9 +186,10 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     below alpha in the order."""
     f = GeneratorSet.wrap(f)
     ring = f.ring
-    if alpha not in lcm_targets(f):
+    # alpha is an lcm target iff the exponents dividing it have lcm alpha
+    idxs = f.participants(alpha) if len(alpha) == ring.n else ()
+    if not idxs or tuple(map(max, zip(*(f.exps[i] for i in idxs)))) != alpha:
         raise ValueError(f"{alpha} is not an lcm target of the generator exponents")
-    idxs = f.participants(alpha)
     # the cone ideal holds these same coefficients in this same order,
     # so its cached base is the one syzygies would compute
     cone = f.cone_ideal(alpha)
@@ -262,22 +259,18 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
     """Run completion: repeatedly append the normalized remainder of the
     first failing S-operator until everything reduces to zero.
 
-    Each addition builds a new generator set, and the cone ideals
-    computed so far carry over to it with their Groebner bases.  This
-    is sound because generators are only ever appended: a participant
-    index tuple names the same leading coefficients, in the same order,
-    in every round.  At the end only the cones at the stair are kept,
-    the ones the base reports, so a finished base does not hold the
-    bases of every cone the completion visited.
+    The input is copied once into a generator set that every addition
+    extends in place, so the cone ideals computed so far, with their
+    Groebner bases, serve every later round.  At the end only the cones
+    at the stair are kept, the ones the base reports, so a finished
+    base does not hold the bases of every cone the completion visited.
 
     Raises CompletionCapExceeded after ``cap`` additions.
     """
-    f = GeneratorSet.wrap(f)
-    ring = f.ring
-    ops = list(f.ops)
+    gs = GeneratorSet(f)
+    ring = gs.ring
     stats = {"rounds": 0, "s_operators": 0, "reductions": 0,
              "reduction_steps": 0, "additions": 0}
-    gs = GeneratorSet(tuple(ops), ring)
     while True:
         stats["rounds"] += 1
         hit = _first_failure(gs, stats)
@@ -287,16 +280,13 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
         if stats["additions"] >= cap:
             raise CompletionCapExceeded(
                 f"completion exceeded the cap of {cap} additions")
-        ops.append(tr.remainder.primitive())
+        gs._append(tr.remainder.primitive())
         stats["additions"] += 1
-        cones = gs._cones
-        gs = GeneratorSet(tuple(ops), ring)
-        gs._cones = cones
     stair = minimal_stair(gs.exps, ring.order_delta)
     live = {gs.participants(a) for a in stair}
     gs._cones = {k: v for k, v in gs._cones.items() if k in live}
     cones = {a: gs.cone_ideal(a) for a in stair}
-    return DeltaBasis(tuple(ops), ring, stair, cones, stats, gs)
+    return DeltaBasis(gs.ops, ring, stair, cones, stats, gs)
 
 
 def delta_stair(b: DeltaBasis) -> tuple[ExpVec, ...]:

@@ -90,16 +90,16 @@ def _tracked_groebner(gens, order: MonomialOrder):
         row[k] = Poly.one(nv)
         push(g, row)
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def pair_key(ij):
-        i, j = ij
+    def pair_key(i, j):
         l = lcm_exp(basis[i].lm(order), basis[j].lm(order))
         return (order.key(l), i, j)
 
+    pairs = {(i, j): pair_key(i, j)
+             for i in range(len(basis)) for j in range(i + 1, len(basis))}
+
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        i, j = min(pairs, key=pairs.__getitem__)
+        del pairs[(i, j)]
         ei, ej = basis[i].lm(order), basis[j].lm(order)
         l = lcm_exp(ei, ej)
         if l == add_exp(ei, ej):
@@ -115,7 +115,7 @@ def _tracked_groebner(gens, order: MonomialOrder):
         if r:
             new = len(basis)
             push(r, row)
-            pairs.update((t, new) for t in range(new))
+            pairs.update(((t, new), pair_key(t, new)) for t in range(new))
 
     if not basis:
         return [], []

@@ -15,6 +15,11 @@ LT, EQ, GT = -1, 0, 1
 
 ORDER_KINDS = ("lex", "deglex", "degrevlex")
 
+# key() memo size at which it starts over: orders are shared (the
+# default d-order by every ring that names none), so it must not grow
+# for as long as the process lives
+_KEY_CACHE_LIMIT = 1 << 16
+
 
 def _same_length(a: ExpVec, b: ExpVec) -> None:
     if len(a) != len(b):
@@ -102,6 +107,8 @@ class MonomialOrder:
         else:
             # degrevlex: grade first, then the *smallest* trailing part wins
             k = (sum(e), tuple(-e[i] for i in reversed(list(idx))))
+        if len(self._key_cache) >= _KEY_CACHE_LIMIT:
+            self._key_cache.clear()
         self._key_cache[e] = k
         return k
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
@@ -25,10 +26,6 @@ class WeylExp(NamedTuple):
 
     x: tuple
     d: tuple
-
-    @property
-    def flat(self) -> tuple:
-        return self.x + self.d
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class WeylOrder:
 
 
 def _w_divides(a: WeylExp, b: WeylExp) -> bool:
-    return all(p <= q for p, q in zip(a.flat, b.flat))
+    return all(map(le, a.x, b.x)) and all(map(le, a.d, b.d))
 
 
 def _require_weyl(p: DiffOp) -> None:

@@ -1,12 +1,16 @@
 """The benchmark's traced run reaches into the library by name.
 
 ``perfbench/spans.py`` wraps library functions found through
-``vars(owner)[attr]``, and the harness reads ``MonomialOrder._key_cache``.
-A refactor that renames or moves one of them breaks ``--trace 1``
-without failing any library test; these tests make it fail here.
+``vars(owner)[attr]``, the harness reads ``MonomialOrder._key_cache``,
+``perfbench/workloads.py`` reads ``GeneratorSet.exps`` and
+``GeneratorSet.cone_ideal``, and ``perfbench/tests`` rebuilds a
+``DeltaBasis`` with ``replace(b, ..., _gens=None)``.  A refactor that
+renames or moves one of them breaks the benchmark without failing any
+library test; these tests make it fail here.
 The benchmark files are only imported, never changed.
 """
 
+import dataclasses
 import gc
 import importlib.util
 from pathlib import Path
@@ -56,3 +60,13 @@ def test_monomial_orders_keep_the_key_cache():
     # the harness's key_cache_entries sums this over every live order
     orders = [x for x in gc.get_objects() if isinstance(x, dg.MonomialOrder)]
     assert sum(len(x._key_cache) for x in orders) >= 1
+
+
+def test_delta_basis_and_generator_set_keep_what_the_workloads_read():
+    assert "_gens" in {f.name for f in dataclasses.fields(dg.DeltaBasis)}
+    _, p1, p2 = example6_ops(b="1")
+    b = dg.complete([p1, p2])
+    assert dataclasses.replace(b, ops=b.ops[:-1], _gens=None).genset.ops == b.ops[:-1]
+    gs = dg.GeneratorSet(b.ops, b.ring)
+    assert gs.exps == tuple(p.exp_delta() for p in b.ops)
+    assert gs.cone_ideal(b.stair[0]).generators

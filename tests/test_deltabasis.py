@@ -1,5 +1,6 @@
 """Reduction, cone ideals, S-operators, the base criterion, completion."""
 
+import itertools
 import random
 
 import pytest
@@ -216,6 +217,50 @@ def test_s_delta_rejects_non_target():
         s_delta_operators(GeneratorSet([p1, p2]), (2, 2))
 
 
+def _lcm_closure_brute(exps):
+    """The lcm of every nonempty subset of the exponents."""
+    out = set()
+    for mask in range(1, 1 << len(exps)):
+        chosen = [e for k, e in enumerate(exps) if mask >> k & 1]
+        out.add(tuple(max(col) for col in zip(*chosen)))
+    return out
+
+
+def _target_sets(seed):
+    """Seeded generator sets over 1-3 derivations, some with repeated
+    leading exponents (scalar and coefficient multiples of a member)."""
+    rng = random.Random(seed)
+    for k in range(40):
+        r = RingSpec(1 + k % 3, k % 2)
+        ops = [rand_op(rng, r) for _ in range(rng.randint(1, 4))]
+        if k % 4 == 0:
+            ops.append(ops[0] + ops[0])
+        if k % 4 == 1:
+            ops.append(r.embed(r.x(0)) * ops[-1])
+        yield GeneratorSet(ops)
+
+
+def test_lcm_targets_match_brute_force_closure():
+    for f in _target_sets(61):
+        got = lcm_targets(f)
+        assert set(got) == _lcm_closure_brute(f.exps)
+        assert got == sorted(set(got), key=f.ring.order_delta.key)
+
+
+def test_s_delta_rejects_exactly_the_non_targets_in_a_box():
+    for f in _target_sets(67):
+        closure = _lcm_closure_brute(f.exps)
+        top = tuple(max(col) + 1 for col in zip(*f.exps))
+        for alpha in itertools.product(*(range(t + 1) for t in top)):
+            if alpha in closure:
+                assert all(s.alpha == alpha for s in s_delta_operators(f, alpha))
+            else:
+                with pytest.raises(ValueError, match="is not an lcm target"):
+                    s_delta_operators(f, alpha)
+        with pytest.raises(ValueError, match="is not an lcm target"):
+            s_delta_operators(f, top + (0,))
+
+
 def test_s_delta_degree_drop_fuzz():
     rng = random.Random(53)
     r = ring2()
@@ -414,6 +459,26 @@ def test_complete_keeps_only_the_stair_cones():
         gs = b.genset
         assert set(gs._cones) == {gs.participants(a) for a in b.stair}
         assert all(b.cones[a] is gs.cone_ideal(a) for a in b.stair)
+
+
+def test_complete_leaves_the_callers_generator_set_unchanged():
+    grew = 0
+    for gens, cap in _completion_inputs():
+        gs = GeneratorSet(gens)
+        for alpha in lcm_targets(gs):
+            gs.cone_ideal(alpha)
+        ops, exps, cones = gs.ops, gs.exps, dict(gs._cones)
+        try:
+            b = complete(gs, cap=cap)
+        except CompletionCapExceeded:
+            b = None
+        assert gs.ops == ops and gs.exps == exps
+        assert gs._cones.keys() == cones.keys()
+        assert all(gs._cones[k] is v for k, v in cones.items())
+        if b is not None:
+            assert b.genset is not gs
+            grew += len(b.ops) > len(ops)
+    assert grew
 
 
 # -- stair and cones of the ideal ---------------------------------------------

@@ -170,3 +170,17 @@ def test_minimal_indices_uses_the_given_divisibility():
     assert minimal_indices(leads, deglex().key, multiple) == [0, 2]
     assert minimal_indices(leads, deglex().key) == [0]
     assert minimal_indices([], deglex().key) == []
+
+
+def test_key_cache_starts_over_at_its_limit(monkeypatch):
+    from diffgb import orders
+    exps = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    for kind in ("lex", "deglex", "degrevlex"):
+        want = {e: MonomialOrder(kind, (2, 0, 1)).key(e) for e in exps}
+        monkeypatch.setattr(orders, "_KEY_CACHE_LIMIT", 5)
+        o = MonomialOrder(kind, (2, 0, 1))
+        for _ in range(2):
+            for e in exps:
+                assert o.key(e) == want[e]
+                assert len(o._key_cache) <= 5
+        monkeypatch.undo()
