@@ -294,7 +294,7 @@ class DiffOp:
         content 1 and positive leading sign of the leading coefficient."""
         if not self.terms:
             return self
-        out = (1 / content(c for p in self.terms.values() for c in p.terms.values())) * self
+        out = (1 / content(self.terms.values())) * self
         if out.c_delta().lc(self.ring.x_order()) < 0:
             out = -out
         return out

@@ -10,9 +10,11 @@ Schreyer lifting transported back to the input list.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add, le, sub
 
-from .orders import MonomialOrder, add_exp, divides, lcm_exp, minimal_indices, sub_exp
-from .poly import Poly, content
+from .orders import MonomialOrder, add_exp, lcm_exp, minimal_indices, sub_exp
+from .poly import Poly, _common_den, _lowest, content
 
 
 def divide(f: Poly, gens, order: MonomialOrder):
@@ -26,35 +28,49 @@ def divide(f: Poly, gens, order: MonomialOrder):
     if any(g.is_zero() for g in gens):
         raise ValueError("division by a zero polynomial")
     nv = f.nvars
-    heads = [g.leading(order) for g in gens]
+    heads = []
+    for g in gens:
+        ge = g.lm(order)
+        heads.append((ge, g._nums[ge]))
     key = order.key
 
-    # mutable working copy; the processed leading monomial strictly
-    # decreases, so each quotient slot is written at most once
-    work = dict(f.terms)
+    # fraction-free working copy: integer numerators over the running
+    # denominator den.  A step scales both by gc/h and subtracts pc/h
+    # times the divisor's numerators; the processed leading monomial
+    # strictly decreases, so each quotient slot is written at most once
+    work = dict(f._nums)
+    den = f._den
     quot = [{} for _ in gens]
-    rem = {}
+    rem = {}  # exponent -> (numerator, den when the term left work)
     while work:
         pe = max(work, key=key)
         pc = work[pe]
         for i, (ge, gc) in enumerate(heads):
-            if divides(ge, pe):
-                q = pc / gc
-                qe = sub_exp(pe, ge)
-                quot[i][qe] = q
-                for me, mc in gens[i].terms.items():
-                    te = add_exp(qe, me)
-                    nc = work.get(te)
-                    nc = -q * mc if nc is None else nc - q * mc
+            if all(map(le, ge, pe)):
+                g = gens[i]
+                qe = tuple(map(sub, pe, ge))
+                quot[i][qe] = Fraction(pc * g._den, den * gc)
+                h = gcd(pc, gc)
+                s, t = gc // h, pc // h
+                if s < 0:
+                    s, t = -s, -t
+                if s != 1:
+                    work = {e: c * s for e, c in work.items()}
+                    den *= s
+                for me, mc in g._nums.items():
+                    te = tuple(map(add, qe, me))
+                    nc = work.get(te, 0) - t * mc
                     if nc:
                         work[te] = nc
                     else:
                         del work[te]
                 break
         else:
-            rem[pe] = pc
+            rem[pe] = (pc, den)
             del work[pe]
-    return [Poly._make(nv, d) for d in quot], Poly._make(nv, rem)
+    rem = {e: c * (den // d) for e, (c, d) in rem.items()}
+    return ([Poly._make(nv, *_common_den(q)) for q in quot],
+            _lowest(nv, rem, den))
 
 
 def _tracked_groebner(gens, order: MonomialOrder):
@@ -104,8 +120,8 @@ def _tracked_groebner(gens, order: MonomialOrder):
         l = lcm_exp(ei, ej)
         if l == add_exp(ei, ej):
             continue  # coprime leads: S-polynomial reduces to zero
-        mi = Poly._make(nv, {sub_exp(l, ei): one})
-        mj = Poly._make(nv, {sub_exp(l, ej): one})
+        mi = Poly._make(nv, {sub_exp(l, ei): 1})
+        mj = Poly._make(nv, {sub_exp(l, ej): 1})
         s = mi * basis[i] - mj * basis[j]
         row = [mi * a - mj * b for a, b in zip(exprs[i], exprs[j])]
         q, r = divide(s, basis, order)
@@ -153,11 +169,11 @@ def _normalize_vector(vec, order: MonomialOrder):
     has negative leading coefficient.  Returns None for zero vectors."""
     if not any(vec):
         return None
-    scale = 1 / content(c for p in vec for c in p.terms.values())
+    scale = 1 / content(vec)
     vec = [p * scale for p in vec]
     for p in reversed(vec):
         if p:
-            if p.lc(order) > 0:
+            if p._nums[p.lm(order)] > 0:
                 vec = [-q for q in vec]
             break
     return tuple(vec)
@@ -180,7 +196,6 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     if r == 0:
         return []
     nv = gens[0].nvars
-    one = Fraction(1)
     G, A = _tracked_groebner(gens, order) if _basis is None else _basis
     t = len(G)
 
@@ -196,8 +211,8 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
         for j in range(i + 1, t):
             ei, ej = G[i].lm(order), G[j].lm(order)
             l = lcm_exp(ei, ej)
-            mi = Poly._make(nv, {sub_exp(l, ei): one})
-            mj = Poly._make(nv, {sub_exp(l, ej): one})
+            mi = Poly._make(nv, {sub_exp(l, ei): 1})
+            mj = Poly._make(nv, {sub_exp(l, ej): 1})
             s = mi * G[i] - mj * G[j]
             if s:
                 q, rem = divide(s, G, order)

@@ -1,20 +1,29 @@
 """Sparse multivariate polynomials over Q with exact arithmetic.
 
-Terms live in a dict mapping exponent tuple -> Fraction; zero
-coefficients are never stored, so equal polynomials have equal dicts.
-Instances are immutable by convention: no method touches ``terms``
-after construction.
+Storage is integer numerators over one positive common denominator:
+``_nums`` maps exponent tuple -> nonzero ``int`` and ``_den`` is an
+``int > 0``.  The form is canonical: the gcd of ``_den`` and every
+numerator is 1, so equal polynomials have equal fields and hashing
+reads them directly.  ``+``, ``-``, ``*`` and ``partial`` compute on
+ints and divide out the gcd of the result once.  Instances are
+immutable by convention.
+
+The API still hands out ``Fraction``s: ``terms`` is a read-only view
+exponent -> ``Fraction`` built on first read, and ``lc()``/``leading()``
+build only the one coefficient they return.  Code in this package reads
+the integer form; it reads ``terms`` only to print, to validate input
+and to copy user data.
 
 ``Poly(nvars, terms)`` validates and normalizes its input: exponents
 are checked, coefficients converted to ``Fraction``, repeated exponents
 summed and zeros dropped.  Arithmetic results are built instead with
-the trusted constructor ``Poly._make(nvars, data)``, which stores the
-dict as given.  Its caller guarantees that every exponent is a tuple of
-``nvars`` nonnegative ints, every coefficient is a nonzero ``Fraction``,
-and no one else holds a reference to ``data``.  Breaking the contract
-breaks equality and hashing silently, so ``_make`` is for code in this
-package that builds the dict itself; input from users goes through
-``Poly(...)``.
+the trusted constructor ``Poly._make(nvars, nums, den)``, which stores
+its arguments as given.  Its caller guarantees that every exponent is
+a tuple of ``nvars`` nonnegative ints, every numerator is a nonzero
+``int``, the form is canonical, and no one else holds a reference to
+``nums``.  Breaking the contract breaks equality and hashing silently,
+so ``_make`` is for code in this package that builds the dict itself;
+input from users goes through ``Poly(...)``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
+from types import MappingProxyType
 
 from .orders import ExpVec, MonomialOrder, total_degree
 
@@ -39,20 +49,46 @@ def display_order(nvars: int) -> MonomialOrder:
     return _DISPLAY_ORDERS[nvars]
 
 
-def content(coeffs) -> Fraction:
-    """Positive rational g with every c/g an integer and the quotients
-    coprime; 1 when there are no coefficients."""
-    coeffs = list(coeffs)
-    if not coeffs:
+def content(polys) -> Fraction:
+    """Positive rational g with every coefficient of ``polys`` over g an
+    integer and those integers coprime; 1 when there are no coefficients.
+
+    Each polynomial is canonical, so its content is the gcd of its
+    numerators over its denominator, and the content of all of them is
+    the gcd of every numerator over the lcm of the denominators."""
+    nums, dens = [], []
+    for p in polys:
+        nums.extend(p._nums.values())
+        dens.append(p._den)
+    if not nums:
         return Fraction(1)
-    return Fraction(gcd(*(abs(c.numerator) for c in coeffs)),
-                    lcm(*(c.denominator for c in coeffs)))
+    return Fraction(gcd(*nums), lcm(*dens))
+
+
+def _common_den(data: dict) -> tuple[dict, int]:
+    """Integer numerators and denominator of a dict of nonzero
+    ``Fraction``s.  The denominator is the lcm of theirs, so the pair is
+    already canonical: a prime of the lcm divides some denominator to
+    its full power, and that term's numerator keeps no factor of it."""
+    den = lcm(*(c.denominator for c in data.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in data.items()}, den
+
+
+def _lowest(nvars: int, nums: dict, den: int) -> "Poly":
+    """``Poly._make`` after dividing ``den`` and the nonzero numerators
+    ``nums`` by their gcd."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    return Poly._make(nvars, nums, den)
 
 
 class Poly:
     """Polynomial in ``nvars`` variables over Q."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_nums", "_den", "_terms")
 
     def __init__(self, nvars: int, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
@@ -73,16 +109,30 @@ class Poly:
             else:
                 data[e] = c
         self.nvars = nvars
-        self.terms = data
+        self._nums, self._den = _common_den(data)
+        self._terms = None
 
     @classmethod
-    def _make(cls, nvars: int, data: dict) -> "Poly":
-        """Trusted constructor: no validation, ``data`` is kept as is
-        (see the module docstring for the caller's contract)."""
+    def _make(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
+        """Trusted constructor: no validation, ``nums`` and ``den`` are
+        kept as is (see the module docstring for the caller's contract)."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = data
+        p._nums = nums
+        p._den = den
+        p._terms = None
         return p
+
+    @property
+    def terms(self):
+        """Read-only view exponent -> nonzero ``Fraction``, built on
+        first read."""
+        t = self._terms
+        if t is None:
+            den = self._den
+            t = self._terms = MappingProxyType(
+                {e: Fraction(c, den) for e, c in self._nums.items()})
+        return t
 
     # -- constructors ------------------------------------------------
 
@@ -93,7 +143,7 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
         c = Fraction(c)
-        return cls._make(nvars, {(0,) * nvars: c} if c else {})
+        return cls._make(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -113,29 +163,30 @@ class Poly:
     # -- structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(total_degree(e) for e in self.terms)
+        return max(total_degree(e) for e in self._nums)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._nums)
 
     # -- arithmetic --------------------------------------------------
 
@@ -148,12 +199,18 @@ class Poly:
             return Poly.constant(self.nvars, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self.terms)
-        for e, c in other.terms.items():
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the lcm of the two denominators."""
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, m2 = d1, sign
+            data = dict(self._nums)
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, sign * (den // d2)
+            data = {e: c * m1 for e, c in self._nums.items()}
+        for e, c in other._nums.items():
+            c *= m2
             s = data.get(e)
             if s is None:
                 data[e] = c
@@ -163,29 +220,24 @@ class Poly:
                     data[e] = s
                 else:
                     del data[e]
-        return Poly._make(self.nvars, data)
+        return _lowest(self.nvars, data, den)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.nvars, {e: -c for e, c in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            s = data.get(e)
-            if s is None:
-                data[e] = -c
-            else:
-                s -= c
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
-        return Poly._make(self.nvars, data)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -194,9 +246,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[ExpVec, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        data: dict[ExpVec, int] = {}
+        b = other._nums.items()
+        for e1, c1 in self._nums.items():
+            for e2, c2 in b:
                 e = tuple(map(add, e1, e2))
                 s = data.get(e)
                 if s is None:
@@ -207,7 +260,7 @@ class Poly:
                         data[e] = s
                     else:
                         del data[e]
-        return Poly._make(self.nvars, data)
+        return _lowest(self.nvars, data, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -224,9 +277,9 @@ class Poly:
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
         # e -> e - unit_i is injective, so no two terms land together
-        return Poly._make(self.nvars, {
+        return _lowest(self.nvars, {
             e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-            for e, c in self.terms.items() if e[i]})
+            for e, c in self._nums.items() if e[i]}, self._den)
 
     def partial_multi(self, gamma: ExpVec) -> "Poly":
         """Iterated derivative d^gamma; stops early once zero."""
@@ -243,55 +296,56 @@ class Poly:
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self._nums.items():
             total += c * prod((Fraction(p) ** k for p, k in zip(point, e)), start=Fraction(1))
-        return total
+        return total / self._den
 
     # -- order-dependent views ----------------------------------------
 
-    def leading(self, order: MonomialOrder) -> tuple[ExpVec, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = order.max(self.terms)
-        return e, self.terms[e]
-
     def lm(self, order: MonomialOrder) -> ExpVec:
-        return self.leading(order)[0]
+        if not self._nums:
+            raise ValueError("zero polynomial has no leading term")
+        return order.max(self._nums)
+
+    def leading(self, order: MonomialOrder) -> tuple[ExpVec, Fraction]:
+        e = self.lm(order)
+        return e, Fraction(self._nums[e], self._den)
 
     def lc(self, order: MonomialOrder) -> Fraction:
         return self.leading(order)[1]
 
     def monic(self, order: MonomialOrder) -> "Poly":
-        c = self.lc(order)
-        if c == 1:
+        c = self._nums[self.lm(order)]
+        if c == self._den:
             return self
-        return self * (Fraction(1) / c)
+        return self * Fraction(self._den, c)
 
     def content(self) -> Fraction:
         """Positive rational g with self/g integer-primitive; 1 for zero."""
-        return content(self.terms.values())
+        return content((self,))
 
     def primitive(self, order: MonomialOrder) -> "Poly":
         """Integer coefficients, content 1, positive leading coefficient."""
-        if not self.terms:
+        if not self._nums:
             return self
         p = self * (Fraction(1) / self.content())
-        if p.lc(order) < 0:
+        if p._nums[p.lm(order)] < 0:
             p = -p
         return p
 
     # -- printing ------------------------------------------------------
 
     def to_str(self, names=None, order: MonomialOrder | None = None) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         if names is None:
             names = tuple(f"x{i + 1}" for i in range(self.nvars))
         if order is None:
             order = display_order(self.nvars)
         parts = []
-        for e in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=order.key, reverse=True):
+            c = terms[e]
             mono = "*".join(
                 n + (f"^{k}" if k > 1 else "") for n, k in zip(names, e) if k
             )

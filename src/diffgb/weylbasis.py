@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import le
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, lcm_exp, minimal_indices, sub_exp
-from .poly import Poly, content
+from .poly import Poly, _common_den, _lowest, content
 
 
 class WeylExp(NamedTuple):
@@ -87,27 +88,17 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         raise ValueError("division by a zero operator")
     ring = p.ring
     nv = ring.nvars
-    heads = [_lead_full(g, worder) for g in gens]
+    heads = [exp_full(g, worder) for g in gens]
     kd, kx = worder.order_d.key, worder.order_x.key
 
-    # mutable working copy: d-exponent -> x-exponent -> coefficient,
-    # zero entries dropped eagerly so max() only sees live monomials
-    work = {beta: dict(pl.terms) for beta, pl in p.terms.items()}
+    # fraction-free working copy: d-exponent -> x-exponent -> integer
+    # numerator over the running denominator den, zero entries dropped
+    # eagerly so max() only sees live monomials
+    den = lcm(*(pl._den for pl in p.terms.values()))
+    work = {beta: {xe: c * (den // pl._den) for xe, c in pl._nums.items()}
+            for beta, pl in p.terms.items()}
     cofd = [{} for _ in gens]
-    remd = {}
-
-    def sub_into(op):
-        for beta, pl in op.terms.items():
-            slot = work.setdefault(beta, {})
-            for xe, c in pl.terms.items():
-                nc = slot.get(xe)
-                nc = -c if nc is None else nc - c
-                if nc:
-                    slot[xe] = nc
-                else:
-                    del slot[xe]
-            if not slot:
-                del work[beta]
+    remd = {}  # d-exponent -> x-exponent -> (numerator, den when it left work)
 
     prev = None
     while work:
@@ -121,25 +112,51 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         prev = we
         if _stats is not None:
             _stats["division_steps"] += 1
-        for i, (hw, hc) in enumerate(heads):
+        for i, hw in enumerate(heads):
             if _w_divides(hw, we):
                 dshift = sub_exp(we.d, hw.d)
                 xshift = sub_exp(we.x, hw.x)
-                q = c / hc
-                cofd[i].setdefault(dshift, {})[xshift] = q
-                mono = DiffOp._make(ring, {dshift: Poly._make(nv, {xshift: q})})
-                sub_into(mono * gens[i])
+                mono = DiffOp._make(ring, {dshift: Poly._make(nv, {xshift: 1})})
+                # the product's leading monomial is we, with g's leading
+                # coefficient; bring it over one denominator pd
+                mg = mono * gens[i]
+                pd = lcm(*(pl._den for pl in mg.terms.values()))
+                lead = mg.terms[beta]
+                gc = lead._nums[xe] * (pd // lead._den)
+                cofd[i].setdefault(dshift, {})[xshift] = Fraction(c * pd, den * gc)
+                h = gcd(c, gc)
+                s, t = gc // h, c // h
+                if s < 0:
+                    s, t = -s, -t
+                if s != 1:
+                    for row in work.values():
+                        for x in row:
+                            row[x] *= s
+                    den *= s
+                for b, pl in mg.terms.items():
+                    row = work.setdefault(b, {})
+                    m = t * (pd // pl._den)
+                    for x, n in pl._nums.items():
+                        nc = row.get(x, 0) - m * n
+                        if nc:
+                            row[x] = nc
+                        else:
+                            del row[x]
+                    if not row:
+                        del work[b]
                 break
         else:
-            remd.setdefault(beta, {})[xe] = c
+            remd.setdefault(beta, {})[xe] = (c, den)
             del slot[xe]
             if not slot:
                 del work[beta]
 
-    # strict descent writes each (d, x) slot once, with a nonzero Fraction
-    cof = [DiffOp._make(ring, {b: Poly._make(nv, xs) for b, xs in d.items()})
+    # strict descent writes each (d, x) slot once, with a nonzero entry
+    cof = [DiffOp._make(ring, {b: Poly._make(nv, *_common_den(xs)) for b, xs in d.items()})
            for d in cofd]
-    rem = DiffOp._make(ring, {b: Poly._make(nv, xs) for b, xs in remd.items()})
+    rem = DiffOp._make(ring, {
+        b: _lowest(nv, {x: c * (den // d) for x, (c, d) in xs.items()}, den)
+        for b, xs in remd.items()})
     return cof, rem
 
 
@@ -147,7 +164,7 @@ def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
     if p.is_zero():
         return p
-    out = (1 / content(c for q in p.terms.values() for c in q.terms.values())) * p
+    out = (1 / content(p.terms.values())) * p
     if _lead_full(out, worder)[1] < 0:
         out = -out
     return out
@@ -160,10 +177,11 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
     ring = f.ring
     nv = ring.nvars
     l = WeylExp(lcm_exp(wf.x, wg.x), lcm_exp(wf.d, wg.d))
-    mf = DiffOp._make(ring, {sub_exp(l.d, wf.d):
-                             Poly._make(nv, {sub_exp(l.x, wf.x): Fraction(1) / cf})})
-    mg = DiffOp._make(ring, {sub_exp(l.d, wg.d):
-                             Poly._make(nv, {sub_exp(l.x, wg.x): Fraction(1) / cg})})
+    qf, qg = 1 / cf, 1 / cg
+    mf = DiffOp._make(ring, {sub_exp(l.d, wf.d): Poly._make(
+        nv, {sub_exp(l.x, wf.x): qf.numerator}, qf.denominator)})
+    mg = DiffOp._make(ring, {sub_exp(l.d, wg.d): Poly._make(
+        nv, {sub_exp(l.x, wg.x): qg.numerator}, qg.denominator)})
     return mf * f - mg * g
 
 

@@ -91,6 +91,18 @@ def rand_op(rng, ring, max_order=2, max_terms=3, max_deg=2, zero_ok=False):
     return op
 
 
+def rand_qpoly(rng, nvars, max_deg=2, max_terms=3):
+    """Nonzero polynomial with rational coefficients of both signs."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]),
+                                   rng.randint(1, 6))
+    return Poly(nvars, terms)
+
+
 def integer_primitive(coeffs) -> bool:
     """All coefficients are integers and their gcd is 1."""
     coeffs = list(coeffs)
@@ -106,11 +118,17 @@ def rand_point(rng, nvars):
 
 def assert_canonical_poly(p):
     """p is stored exactly as the validating constructor stores it:
-    nvars-long exponent tuples and nonzero Fraction coefficients."""
+    nvars-long exponent tuples and nonzero int numerators over a
+    positive int denominator, with no factor common to all of them,
+    and a ``terms`` view of the matching nonzero Fractions."""
     assert p == Poly(p.nvars, p.terms)
-    for e, c in p.terms.items():
+    assert type(p._den) is int and p._den > 0
+    assert gcd(p._den, *p._nums.values()) == 1
+    for e, c in p._nums.items():
         assert type(e) is tuple and len(e) == p.nvars
-        assert type(c) is Fraction and c != 0
+        assert type(c) is int and c != 0
+    assert dict(p.terms) == {e: Fraction(c, p._den) for e, c in p._nums.items()}
+    assert all(type(c) is Fraction for c in p.terms.values())
 
 
 def assert_canonical_op(op):

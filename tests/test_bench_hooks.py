@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps library functions found through
 ``vars(owner)[attr]``, the harness reads ``MonomialOrder._key_cache``,
 ``perfbench/workloads.py`` reads ``GeneratorSet.exps`` and
-``GeneratorSet.cone_ideal``, and ``perfbench/tests`` rebuilds a
+``GeneratorSet.cone_ideal``, the ``poly.mul.term_pairs`` hook and
+``workloads._ops_bits`` read ``Poly.terms`` as a dict of ``Fraction``s
+with one entry per term, and ``perfbench/tests`` rebuilds a
 ``DeltaBasis`` with ``replace(b, ..., _gens=None)``.  A refactor that
 renames or moves one of them breaks the benchmark without failing any
 library test; these tests make it fail here.
@@ -12,7 +14,11 @@ The benchmark files are only imported, never changed.
 
 import dataclasses
 import gc
+import importlib
 import importlib.util
+import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import diffgb as dg
@@ -26,6 +32,15 @@ def load_spans():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def load_workloads():
+    root = str(SPANS.parent.parent)
+    sys.path.insert(0, root)
+    try:
+        return importlib.import_module("perfbench.workloads")
+    finally:
+        sys.path.remove(root)
 
 
 def test_every_span_target_resolves():
@@ -70,3 +85,19 @@ def test_delta_basis_and_generator_set_keep_what_the_workloads_read():
     gs = dg.GeneratorSet(b.ops, b.ring)
     assert gs.exps == tuple(p.exp_delta() for p in b.ops)
     assert gs.cone_ideal(b.stair[0]).generators
+
+
+def test_poly_terms_keep_what_the_benchmark_reads():
+    x = dg.Poly(2, {(1, 0): Fraction(1000, 7), (0, 1): -4, (0, 0): Fraction(-3, 2048)})
+    y = x * x - 1
+    assert len(x.terms) == 3 and len(y.terms) == 6
+    for p in (x, y):
+        assert all(type(c) is Fraction for c in p.terms.values())
+    counts = Counter()
+    hook = load_spans()._term_pairs
+    hook(counts, (x, y), None)
+    hook(counts, (x, 5), None)
+    assert counts["poly.mul.term_pairs"] == 3 * 6 + 3
+    # 1000 has 10 bits, 2048 has 12
+    op = dg.DiffOp(dg.RingSpec(2), {(1, 0): x, (0, 0): dg.Poly.one(2)})
+    assert load_workloads()._ops_bits([op]) == 12

@@ -9,11 +9,13 @@ from diffgb import Poly, PolyIdeal, buchberger, divide, syzygies
 from diffgb.groebner import _normalize_vector
 from diffgb.orders import deglex, lex
 from helpers import (
+    assert_canonical_poly,
     integer_primitive,
     linear_membership,
     naive_divide,
     naive_reduced_groebner,
     rand_poly,
+    rand_qpoly,
 )
 
 X1 = Poly.variable(2, 0)
@@ -32,6 +34,32 @@ def test_divide_identity_holds():
         for g in gens:
             lm = g.lm(o)
             assert any(a > b for a, b in zip(lm, e))
+
+
+def test_divide_matches_naive_oracle_on_rational_divisors_fuzz():
+    # rational, non-monic divisors, half of them with a negative leading
+    # coefficient, so every step has to rescale the working numerators
+    rng = random.Random(67)
+    for _ in range(150):
+        o = rng.choice([deglex(), lex()])
+        nv = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = rand_qpoly(rng, nv, 2, 3)
+            negative = rng.random() < 0.5
+            if (g.lc(o) < 0) != negative:
+                g = -g
+            gens.append(g)
+        f = rand_qpoly(rng, nv, 4, 5)
+        qs, r = divide(f, gens, o)
+        assert r == naive_divide(f, gens, o)
+        assert sum((q * g for q, g in zip(qs, gens)), Poly.zero(nv)) + r == f
+        top = f.lm(o)
+        for q, g in zip(qs, gens):
+            assert_canonical_poly(q)
+            if q:
+                assert o.compare((q * g).lm(o), top) <= 0
+        assert_canonical_poly(r)
 
 
 def test_divide_known_remainder_zero():

@@ -7,7 +7,7 @@ import pytest
 
 from diffgb import Poly, RingSpec
 from diffgb.orders import deglex, lex
-from helpers import assert_canonical_poly, rand_point, rand_poly
+from helpers import assert_canonical_poly, rand_point, rand_poly, rand_qpoly
 
 
 def P(nvars, items):
@@ -173,3 +173,42 @@ def test_arithmetic_results_are_canonical_fuzz():
                   (f * g) - g * f, f * k, k * f, f * s, s - f, f + k, k - f,
                   f.partial(rng.randrange(nv)), f ** 2):
             assert_canonical_poly(p)
+
+
+def test_rational_arithmetic_results_are_canonical_fuzz():
+    # rational inputs make the results share factors with their
+    # denominators, so each operation has to divide out the gcd
+    rng = random.Random(65)
+    for _ in range(200):
+        nv = rng.randint(1, 3)
+        f, g = rand_qpoly(rng, nv, 3, 4), rand_qpoly(rng, nv, 3, 4)
+        s = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        for p in (f + g, f - g, f * g, -f, (f + g) - g, f * s, s * f + g,
+                  f.partial(rng.randrange(nv)), f.monic(deglex()),
+                  f.primitive(deglex()), f * (1 / f.content())):
+            assert_canonical_poly(p)
+
+
+def test_equal_values_along_different_paths_hash_equal_fuzz():
+    rng = random.Random(66)
+    for _ in range(100):
+        nv = rng.randint(1, 3)
+        p, q, r = (rand_qpoly(rng, nv, 2, 3) for _ in range(3))
+        pairs = [((p * q) * r, p * (q * r)), (p + q - q, p), (p * (q + r), p * q + p * r),
+                 ((p - p) * q, Poly.zero(nv)), (p * q * (1 / q.lc(lex())), p * q.monic(lex()))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+
+def test_public_views_hand_out_fractions():
+    o = deglex()
+    p = P(2, [((1, 0), Fraction(4, 6)), ((0, 0), 2)])
+    assert dict(p.terms) == {(1, 0): Fraction(2, 3), (0, 0): Fraction(2)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.leading(o) == ((1, 0), Fraction(2, 3))
+    assert type(p.leading(o)[1]) is Fraction and type(p.lc(o)) is Fraction
+    assert p.lc(o) / p.lc(o) == 1 and type(p.lc(o) / 2) is Fraction
+    assert p.eval((Fraction(3), Fraction(0))) == 4
+    with pytest.raises(TypeError):
+        p.terms[(0, 1)] = Fraction(1)

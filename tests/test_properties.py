@@ -1,0 +1,86 @@
+"""Property tests: Poly ring axioms against a plain Fraction-dict oracle,
+and the contract of commutative division.
+
+Examples are derandomized and bounded, so every run checks the same
+cases in about a second.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffgb import Poly, divide
+from diffgb.orders import deglex, divides, lex
+from helpers import assert_canonical_poly, naive_divide
+
+NV = 2
+PROPS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+exps = st.tuples(*[st.integers(0, 3)] * NV)
+dicts = st.dictionaries(exps, coeffs, max_size=4)
+polys = dicts.map(lambda d: Poly(NV, d))
+nonzero = polys.filter(bool)
+orders = st.sampled_from([deglex(), lex()])
+
+
+def oracle(d) -> dict:
+    """Exponent -> nonzero Fraction, as the validating constructor keeps it."""
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def oracle_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@PROPS
+@given(dicts, dicts)
+def test_arithmetic_matches_the_fraction_dict_oracle(a, b):
+    p, q = Poly(NV, a), Poly(NV, b)
+    a, b = oracle(a), oracle(b)
+    for got, want in ((p + q, oracle_add(a, b)), (p - q, oracle_add(a, b, -1)),
+                      (-p, {e: -c for e, c in a.items()}), (p * q, oracle_mul(a, b))):
+        assert dict(got.terms) == want
+        assert_canonical_poly(got)
+
+
+@PROPS
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    zero, one = Poly.zero(NV), Poly.one(NV)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert (p + (-p)).is_zero() and p - q == p + (-q)
+    assert hash((p * q) * r) == hash(p * (q * r))
+
+
+@PROPS
+@given(polys, st.lists(nonzero, min_size=1, max_size=3), orders)
+def test_divide_contract(f, gens, order):
+    qs, r = divide(f, gens, order)
+    assert sum((q * g for q, g in zip(qs, gens)), Poly.zero(NV)) + r == f
+    assert r == naive_divide(f, gens, order)
+    heads = [g.lm(order) for g in gens]
+    for e in r.terms:
+        assert not any(divides(h, e) for h in heads)
+    for q, g in zip(qs, gens):
+        assert_canonical_poly(q)
+        if q:
+            assert order.compare((q * g).lm(order), f.lm(order)) <= 0
+    assert_canonical_poly(r)

@@ -25,7 +25,15 @@ from diffgb import (
 )
 from diffgb.deltabasis import CompletionCapExceeded
 from diffgb.weylbasis import _lead_full, _primitive_weyl
-from helpers import example6_ops, integer_primitive, rand_op, rand_poly, ring1, ring2
+from helpers import (
+    assert_canonical_op,
+    example6_ops,
+    integer_primitive,
+    rand_op,
+    rand_poly,
+    ring1,
+    ring2,
+)
 
 W = WeylOrder(MonomialOrder("deglex"), MonomialOrder("deglex"))
 
@@ -108,6 +116,31 @@ def test_division_identity_fuzz():
                     all(a <= b for a, b in zip(h.d, beta))
                     and all(a <= b for a, b in zip(h.x, e))
                     for h in heads)
+
+
+def rand_qop(rng, ring, **kw):
+    """rand_op with each coefficient scaled by its own signed rational."""
+    op = rand_op(rng, ring, **kw)
+    return DiffOp(ring, {e: c * Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 6))
+                         for e, c in op.terms.items()})
+
+
+def test_division_identity_on_rational_operators_fuzz():
+    # rational coefficients with mixed denominators and signs on both
+    # sides, so the fraction-free steps rescale the working copy
+    rng = random.Random(68)
+    for _ in range(40):
+        r = rng.choice([ring1(), ring2()])
+        w = rng.choice([W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex"))])
+        gens = [rand_qop(rng, r) for _ in range(rng.randint(1, 3))]
+        p = rand_qop(rng, r, max_order=3, max_terms=4)
+        qs, rem = divide_weyl(p, gens, w)
+        rebuilt = rem
+        for q, g in zip(qs, gens):
+            rebuilt = rebuilt + q * g
+            assert_canonical_op(q)
+        assert rebuilt == p
+        assert_canonical_op(rem)
 
 
 def test_division_bounds_cofactors_fuzz():
