@@ -218,22 +218,26 @@ class DiffOp:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        other = _as_op(self.ring, other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _plus(self, other: "DiffOp", sign: int) -> "DiffOp":
+        """self + sign*other, coefficient by coefficient through Poly._plus."""
         data = dict(self.terms)
         for e, p in other.terms.items():
             s = data.get(e)
             if s is None:
-                data[e] = p
+                data[e] = p if sign > 0 else -p
             else:
-                s = s + p
+                s = s._plus(p, sign)
                 if s:
                     data[e] = s
                 else:
                     del data[e]
         return DiffOp._make(self.ring, data)
+
+    def __add__(self, other):
+        other = _as_op(self.ring, other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -244,18 +248,7 @@ class DiffOp:
         other = _as_op(self.ring, other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self.terms)
-        for e, p in other.terms.items():
-            s = data.get(e)
-            if s is None:
-                data[e] = -p
-            else:
-                s = s - p
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
-        return DiffOp._make(self.ring, data)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 
-from .orders import MonomialOrder, add_exp, lcm_exp, minimal_indices, sub_exp
+from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices, sub_exp
 from .poly import Poly, _common_den, _lowest, content
 
 
@@ -79,9 +79,10 @@ def _tracked_groebner(gens, order: MonomialOrder):
     Returns (G, A) with G the reduced base (monic, fully inter-reduced,
     ascending leading monomials) and A[i] the cofactor row such that
     G[i] = sum_k A[i][k] * gens[k].  Zero generators contribute zero
-    columns.  Everything is deterministic: pairs are processed by lcm
-    in the active order with index tie-breaks, and the coprime-lead
-    pair criterion is applied.
+    columns.  Everything is deterministic: ``critical_pairs`` pops the
+    pairs smallest (lcm in the active order, i, j) first, and the
+    coprime-lead pair criterion is applied.  A is not unique, so it
+    depends on that order.
     """
     gens = list(gens)
     cols = len(gens)
@@ -92,12 +93,14 @@ def _tracked_groebner(gens, order: MonomialOrder):
 
     basis: list[Poly] = []
     exprs: list[list[Poly]] = []
+    leads: list[tuple] = []
 
     def push(p: Poly, row: list[Poly]) -> None:
         c = p.lc(order)
         inv = one / c
         basis.append(p * inv)
         exprs.append([q * inv for q in row])
+        leads.append(p.lm(order))
 
     for k, g in enumerate(gens):
         if g.is_zero():
@@ -106,18 +109,8 @@ def _tracked_groebner(gens, order: MonomialOrder):
         row[k] = Poly.one(nv)
         push(g, row)
 
-    def pair_key(i, j):
-        l = lcm_exp(basis[i].lm(order), basis[j].lm(order))
-        return (order.key(l), i, j)
-
-    pairs = {(i, j): pair_key(i, j)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    while pairs:
-        i, j = min(pairs, key=pairs.__getitem__)
-        del pairs[(i, j)]
-        ei, ej = basis[i].lm(order), basis[j].lm(order)
-        l = lcm_exp(ei, ej)
+    for i, j, l in critical_pairs(leads, lcm_exp, order.key):
+        ei, ej = leads[i], leads[j]
         if l == add_exp(ei, ej):
             continue  # coprime leads: S-polynomial reduces to zero
         mi = Poly._make(nv, {sub_exp(l, ei): 1})
@@ -129,30 +122,24 @@ def _tracked_groebner(gens, order: MonomialOrder):
             if qt:
                 row = [a - qt * b for a, b in zip(row, exprs[t])]
         if r:
-            new = len(basis)
             push(r, row)
-            pairs.update(((t, new), pair_key(t, new)) for t in range(new))
 
     if not basis:
         return [], []
 
     # minimal base: drop anything whose lead is divisible by another lead
-    keep = minimal_indices([p.lm(order) for p in basis], order.key)
+    keep = minimal_indices(leads, order.key)
 
     # tail reduction against the other survivors
     final: list[Poly] = []
     final_exprs: list[list[Poly]] = []
     for t in keep:
-        others = [basis[u] for u in keep if u != t]
-        other_rows = [exprs[u] for u in keep if u != t]
-        if others:
-            q, r = divide(basis[t], others, order)
-            row = exprs[t]
-            for qt, orow in zip(q, other_rows):
-                if qt:
-                    row = [a - qt * b for a, b in zip(row, orow)]
-        else:
-            r, row = basis[t], exprs[t]
+        others = [u for u in keep if u != t]
+        q, r = divide(basis[t], [basis[u] for u in others], order)
+        row = exprs[t]
+        for qt, u in zip(q, others):
+            if qt:
+                row = [a - qt * b for a, b in zip(row, exprs[u])]
         final.append(r)
         final_exprs.append(row)
     # the kept leads ascend and tail division keeps each one: no re-sort

@@ -2,11 +2,15 @@
 
 An exponent vector is a plain tuple of nonnegative ints.  Orderings are
 total, compatible with addition and have 0 as least element, so every
-strictly decreasing chain of exponents is finite.
+strictly decreasing chain of exponents is finite.  The Buchberger
+bookkeeping that needs only leads, an lcm and an order (minimalization
+and the critical-pair queue) lives here too, shared by the commutative
+and the Weyl-algebra loops.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 ExpVec = tuple  # tuple[int, ...]
@@ -63,6 +67,25 @@ def minimal_indices(leads, key, divides=divides) -> list[int]:
         if not any(divides(leads[u], leads[t]) for u in keep):
             keep.append(t)
     return keep
+
+
+def critical_pairs(leads, lcm, key):
+    """Yield (i, j, lcm(leads[i], leads[j])) once for every i < j,
+    smallest (key(lcm), i, j) first.  The caller may append to
+    ``leads`` while iterating: the pairs of every lead appended since
+    the last step are queued before the next pop."""
+    heap: list = []
+    queued = 0
+    while True:
+        for j in range(queued, len(leads)):
+            for i in range(j):
+                l = lcm(leads[i], leads[j])
+                heapq.heappush(heap, (key(l), i, j, l))
+        queued = len(leads)
+        if not heap:
+            return
+        _, i, j, l = heapq.heappop(heap)
+        yield i, j, l
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 Exponents are pairs (x-part, d-part) compared by an elimination order:
 the d-parts first, then the x-parts.  Leading exponents multiply under
 operator composition because every Leibniz correction is smaller in
-both parts, so the usual division/Buchberger loop goes through.  No
-pair-skipping criteria are applied; the coprime-lead shortcut is not
-sound here (x and d have coprime leads but [d, x] = 1).
+both parts, so the usual division/Buchberger loop goes through.  Of the
+pair-skipping criteria only the chain criterion is applied: it needs no
+more than leading exponents that multiply, so it holds in solvable
+algebras such as this one (Kandri-Rody & Weispfenning, JSC 9, 1990).
+The coprime-lead criterion needs commuting factors and is unsound here:
+x and d have coprime leads, yet d*x - x*d = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
-from .orders import MonomialOrder, lcm_exp, minimal_indices, sub_exp
+from .orders import MonomialOrder, critical_pairs, lcm_exp, minimal_indices, sub_exp
 from .poly import Poly, _common_den, _lowest, content
 
 
@@ -50,6 +53,10 @@ class WeylOrder:
 
 def _w_divides(a: WeylExp, b: WeylExp) -> bool:
     return all(map(le, a.x, b.x)) and all(map(le, a.d, b.d))
+
+
+def _w_lcm(a: WeylExp, b: WeylExp) -> WeylExp:
+    return WeylExp(lcm_exp(a.x, b.x), lcm_exp(a.d, b.d))
 
 
 def _require_weyl(p: DiffOp) -> None:
@@ -176,7 +183,7 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
     wg, cg = _lead_full(g, worder)
     ring = f.ring
     nv = ring.nvars
-    l = WeylExp(lcm_exp(wf.x, wg.x), lcm_exp(wf.d, wg.d))
+    l = _w_lcm(wf, wg)
     qf, qg = 1 / cf, 1 / cg
     mf = DiffOp._make(ring, {sub_exp(l.d, wf.d): Poly._make(
         nv, {sub_exp(l.x, wf.x): qf.numerator}, qf.denominator)})
@@ -222,42 +229,26 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     if not basis:
         raise ValueError("all generators are zero")
 
-    def is_unit_op(g: DiffOp) -> bool:
-        terms = g.terms
-        if len(terms) != 1:
-            return False
-        (beta, coeff), = terms.items()
-        return not any(beta) and coeff.degree() == 0
+    done = set()
 
-    def pair_key(i, j):
-        wi, wj = leads[i], leads[j]
-        l = WeylExp(lcm_exp(wi.x, wj.x), lcm_exp(wi.d, wj.d))
-        return (worder.key(l), i, j)
-
-    pairs = {(i, j): pair_key(i, j)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def chain_skip(i, j):
+    def chain_skip(i, j, l):
         # the lcm of i and j covered by a third lead whose pairs with i and j are
         # both treated already: S(i,j) then reduces through those two.
         # A skipped pair counts as treated; citations only ever point at
         # pairs popped earlier, so no two pairs can excuse each other.
-        wi, wj = leads[i], leads[j]
-        l = WeylExp(lcm_exp(wi.x, wj.x), lcm_exp(wi.d, wj.d))
-        for k in range(len(basis)):
+        for k in range(len(leads)):
             if k == i or k == j or not _w_divides(leads[k], l):
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
-            if a not in pairs and b not in pairs:
+            if a in done and b in done:
                 return True
         return False
 
-    while pairs:
-        i, j = min(pairs, key=pairs.__getitem__)
-        del pairs[(i, j)]
+    for i, j, l in critical_pairs(leads, _w_lcm, worder.key):
+        done.add((i, j))
         stats["s_pairs"] += 1
-        if chain_skip(i, j):
+        if chain_skip(i, j, l):
             continue
         s = s_operator_weyl(basis[i], basis[j], worder)
         if s.is_zero():
@@ -270,25 +261,19 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
             raise CompletionCapExceeded(
                 f"basis construction exceeded the cap of {cap} additions")
         r = _primitive_weyl(r, worder)
-        new = len(basis)
         basis.append(r)
         leads.append(_lead_full(r, worder)[0])
         stats["additions"] += 1
-        if is_unit_op(r):
-            # the whole ring: every remaining pair reduces to zero
-            pairs.clear()
+        if not any(leads[-1].x) and not any(leads[-1].d):
+            # a constant (0 is the least exponent): the whole ring, so
+            # every remaining pair reduces to zero
             break
-        pairs.update(((t, new), pair_key(t, new)) for t in range(new))
 
     # minimal: drop elements whose lead another lead divides
     keep = minimal_indices(leads, worder.key, _w_divides)
     final = []
     for t in keep:
-        others = [basis[u] for u in keep if u != t]
-        if others:
-            _, r = divide_weyl(basis[t], others, worder)
-        else:
-            r = basis[t]
+        _, r = divide_weyl(basis[t], [basis[u] for u in keep if u != t], worder)
         final.append(_primitive_weyl(r, worder))
     # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)

@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the code paths they are used to check:
 naive Buchberger works with a FIFO queue and no pair criteria, the
-membership oracle is dense linear algebra over the rationals, and the
+membership oracle is dense linear algebra over the rationals, the
 product oracle moves one derivation at a time instead of using the
-closed Leibniz formula.
+closed Leibniz formula, and the pair-order reference scans a dict of
+open pairs for its minimum instead of keeping a heap.
 """
 
 from fractions import Fraction
@@ -198,6 +199,26 @@ def naive_reduced_groebner(gens, order):
             out.append(r.monic(order))
     out.sort(key=lambda p: order.key(p.lm(order)))
     return out
+
+
+# -- critical-pair order, the slow way ---------------------------------------
+
+def min_scan_pairs(leads, lcm, key):
+    """Reference for ``orders.critical_pairs``: every open pair sits in a
+    dict under its (key(lcm), i, j), and each step pops the minimum by a
+    full scan.  Leads appended while iterating join before the next pop."""
+    pairs = {}
+    seen = 0
+    while True:
+        for j in range(seen, len(leads)):
+            for i in range(j):
+                pairs[(i, j)] = (key(lcm(leads[i], leads[j])), i, j)
+        seen = len(leads)
+        if not pairs:
+            return
+        i, j = min(pairs, key=pairs.__getitem__)
+        del pairs[(i, j)]
+        yield i, j, lcm(leads[i], leads[j])
 
 
 # -- dense linear-algebra membership oracle ----------------------------------

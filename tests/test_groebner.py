@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from diffgb import Poly, PolyIdeal, buchberger, divide, syzygies
-from diffgb.groebner import _normalize_vector
+from diffgb import MonomialOrder, Poly, PolyIdeal, RingSpec, buchberger, divide, syzygies
+from diffgb.groebner import _normalize_vector, _tracked_groebner
 from diffgb.orders import deglex, lex
 from helpers import (
     assert_canonical_poly,
@@ -14,6 +14,7 @@ from helpers import (
     linear_membership,
     naive_divide,
     naive_reduced_groebner,
+    parse_op,
     rand_poly,
     rand_qpoly,
 )
@@ -298,3 +299,44 @@ def test_normalize_vector_integer_content_one_negative_last_lead_fuzz():
         assert out[k].lc(order) < 0
         scale = out[k].lc(order) / vec[k].lc(order)
         assert list(out) == [p * scale for p in vec]
+
+
+# Expression matrices recorded verbatim.  The reduced base is unique but
+# its cofactor rows are not: they follow the order in which pairs are
+# popped, so these pin it.
+TRACKED_GOLDEN = [
+    ("deglex", ["2*x2*x3 - 2*x1*x2 + 2", "-x1 + 2", "x1*x3 - 2*x1^2 + 3"],
+     ["x3 - 5/2", "x2 + 2", "x1 - 2"],
+     [["0", "1/2*x3 - x1 - 2", "1/2"], ["1", "-x2*x3 + 2*x1*x2 + 2*x2", "-x2"],
+      ["0", "-1", "0"]]),
+    ("deglex", ["-3*x2^2 + x1*x2", "-3*x1*x2 + 3*x1", "-2*x1^2"],
+     ["x1", "x2^2"],
+     [["-1/3*x1", "1/3*x2 - 1/9*x1 + 1/3", "-1/6"],
+      ["-1/9*x1 - 1/3", "1/9*x2 - 1/27*x1", "-1/18"]]),
+    ("deglex", ["-3*x1^2*x2 - x1*x2 - 1", "-3*x1^2*x2 + 3", "-x1^3 - 3*x2^2 - x2",
+                "-2*x1^2 + 3"],
+     ["1"],
+     [["1/23*x1 - 6/23", "-2/207*x1^2 + 1/69*x1 + 6/23", "0",
+       "1/69*x1^2*x2 - 2/23*x1*x2 - 1/69"]]),
+    ("lex", ["-3*x1*x3 + 3*x3 - 1", "-x1*x2 + 1", "3*x1*x2 + x3 - 3*x2"],
+     ["x3^2 - 1/3*x3 - 1", "-1/3*x3 + x2 - 1", "1/3*x3 + x1 - 10/9"],
+     [["1/3*x3 + 1", "3*x1*x3 - 3*x3", "x1*x3"], ["0", "-1", "-1/3"],
+      ["1/9", "x1 - 1", "1/3*x1"]]),
+    ("degrevlex", ["-x2*x3 - 2*x3", "4*x1 + 3", "x1*x3 + 3*x1*x2 - 3"],
+     ["1/3*x3 + x2 + 4/3", "x1 + 3/4", "x3^2 - 2*x3"],
+     [["0", "1/9*x3 + 1/3*x2", "-4/9"], ["0", "1/4", "0"],
+      ["3", "1/3*x3^2 + x2*x3", "-4/3*x3"]]),
+    ("degrevlex", ["x1*x3 + x3", "x3^2 + 3", "2*x2^2 + 2*x1*x2"],
+     ["x1 + 1", "x3^2 + 3", "x2^2 - x2"],
+     [["-1/3*x3", "1/3*x1 + 1/3", "0"], ["0", "1", "0"],
+      ["1/3*x2*x3", "-1/3*x1*x2 - 1/3*x2", "1/2"]]),
+]
+
+
+@pytest.mark.parametrize("kind, gens, basis, rows", TRACKED_GOLDEN)
+def test_tracked_groebner_golden_expression_matrices(kind, gens, basis, rows):
+    ring = RingSpec(3)
+    polys = [parse_op(ring, t).terms[(0, 0, 0)] for t in gens]
+    G, A = _tracked_groebner(polys, MonomialOrder(kind))
+    assert [str(g) for g in G] == basis
+    assert [[str(a) for a in row] for row in A] == rows

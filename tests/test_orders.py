@@ -1,4 +1,5 @@
-"""Monomial orders: comparison axioms and exponent helpers."""
+"""Monomial orders: comparison axioms, exponent helpers and the
+critical-pair queue."""
 
 import random
 
@@ -10,6 +11,7 @@ from diffgb.orders import (
     LT,
     MonomialOrder,
     add_exp,
+    critical_pairs,
     deglex,
     degrevlex,
     divides,
@@ -19,6 +21,8 @@ from diffgb.orders import (
     sub_exp,
     total_degree,
 )
+from diffgb.weylbasis import WeylExp, WeylOrder, _w_lcm
+from helpers import min_scan_pairs
 
 ALL_ORDERS = [lex(), deglex(), degrevlex()]
 
@@ -184,3 +188,44 @@ def test_key_cache_starts_over_at_its_limit(monkeypatch):
                 assert o.key(e) == want[e]
                 assert len(o._key_cache) <= 5
         monkeypatch.undo()
+
+
+def _run_with_appends(pairs, start, extra, seed):
+    """Drain a pair generator over a copy of ``start``, appending the
+    ``extra`` leads on a seeded schedule; returns the triples and the
+    grown list."""
+    leads, extra, sched = list(start), list(extra), random.Random(seed)
+    out = []
+    for triple in pairs(leads):
+        out.append(triple)
+        while extra and sched.random() < 0.3:
+            leads.append(extra.pop())
+    return out, leads
+
+
+def test_critical_pairs_matches_min_scan_reference_with_appends():
+    rng = random.Random(16)
+    weyl_orders = [WeylOrder(MonomialOrder(kx), MonomialOrder(kd))
+                   for kx in ("deglex", "lex") for kd in ("deglex", "degrevlex")]
+    for trial in range(200):
+        if trial % 2:
+            lcm, key = _w_lcm, rng.choice(weyl_orders).key
+            fresh = lambda: WeylExp(tuple(rng.randint(0, 2) for _ in range(2)),
+                                    tuple(rng.randint(0, 2) for _ in range(2)))
+        else:
+            k = rng.randint(1, 3)
+            lcm, key = lcm_exp, rng.choice(ALL_ORDERS).key
+            fresh = lambda: tuple(rng.randint(0, 3) for _ in range(k))
+        start = [fresh() for _ in range(rng.randint(1, 5))]
+        start += [rng.choice(start) for _ in range(rng.randint(0, 2))]  # repeats
+        extra = [fresh() for _ in range(rng.randint(0, 6))]
+        seed = rng.random()
+        got, leads = _run_with_appends(lambda ls: critical_pairs(ls, lcm, key),
+                                       start, extra, seed)
+        want, _ = _run_with_appends(lambda ls: min_scan_pairs(ls, lcm, key),
+                                    start, extra, seed)
+        assert got == want
+        # every pair i < j of the grown list exactly once, with its lcm
+        assert sorted((i, j) for i, j, _ in got) == sorted(
+            (i, j) for j in range(len(leads)) for i in range(j))
+        assert all(l == lcm(leads[i], leads[j]) for i, j, l in got)

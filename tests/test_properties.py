@@ -1,5 +1,6 @@
 """Property tests: Poly ring axioms against a plain Fraction-dict oracle,
-and the contract of commutative division.
+the contract of commutative division, and the operator print/parse
+round trip.
 
 Examples are derandomized and bounded, so every run checks the same
 cases in about a second.
@@ -10,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffgb import Poly, divide
+from diffgb import DiffOp, Poly, ProblemFile, RingSpec, divide, parse_expression
 from diffgb.orders import deglex, divides, lex
 from helpers import assert_canonical_poly, naive_divide
 
@@ -84,3 +85,18 @@ def test_divide_contract(f, gens, order):
         if q:
             assert order.compare((q * g).lm(order), f.lm(order)) <= 0
     assert_canonical_poly(r)
+
+
+# operators shaped like helpers.rand_op's (a few terms, small exponents),
+# with rational coefficients and a parameter x3
+RING = RingSpec(2, 1)
+op_coeffs = st.dictionaries(st.tuples(*[st.integers(0, 2)] * RING.nvars), coeffs,
+                            min_size=1, max_size=2).map(lambda d: Poly(RING.nvars, d))
+operators = st.dictionaries(st.tuples(*[st.integers(0, 2)] * RING.n), op_coeffs,
+                            max_size=3).map(lambda d: DiffOp(RING, d))
+
+
+@PROPS
+@given(operators)
+def test_operator_text_parses_back_to_the_operator(op):
+    assert parse_expression(op.to_str(), ProblemFile(RING, {}, None)) == op

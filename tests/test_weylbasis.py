@@ -29,6 +29,7 @@ from helpers import (
     assert_canonical_op,
     example6_ops,
     integer_primitive,
+    parse_op,
     rand_op,
     rand_poly,
     ring1,
@@ -236,3 +237,52 @@ def test_primitive_weyl_integer_content_one_positive_lead_fuzz():
         (w, c), (w0, c0) = _lead_full(out, worder), _lead_full(p, worder)
         assert w == w0 and c > 0
         assert out == p * (c / c0)
+
+
+# Bases recorded verbatim with their counters.  A reduced base is
+# unique, but the counters follow the order in which pairs are popped,
+# the chain criterion and the early exit once a constant is added (the
+# last five inputs generate the whole ring), so these pin all three.
+WEYL_GOLDEN = [
+    ("deglex", ["x1*d1 + x1*d2 + x1", "(x2 - x1)*d2 - 1"],
+     ["(-x2 + x1)*d2 + (1)", "(x1)*d1 + (x2)*d2 + (x1 - 1)",
+      "(x2)*d1*d2 + (x2)*d2^2 + (-1)*d1 + (x2 - 1)*d2 + (-1)"],
+     {"s_pairs": 3, "reductions": 2, "division_steps": 9, "additions": 1}),
+    ("deglex", ["(-3*x2^2 - x1*x2 - 3*x1^2 - 3*x2)*d2", "(-2*x1 - 3)*d1", "d1^2"],
+     ["(1)*d2", "(1)*d1"],
+     {"s_pairs": 55, "reductions": 16, "division_steps": 64, "additions": 8}),
+    ("lex", ["(-3*x2^2 - x1*x2 - 3*x1^2 - 3*x2)*d2", "(-2*x1 - 3)*d1", "d1^2"],
+     ["(1)*d2", "(1)*d1"],
+     {"s_pairs": 78, "reductions": 19, "division_steps": 78, "additions": 10}),
+    ("deglex", ["(x1 - 1)*d1 - d2", "(-3*x1*x2)*d2^2", "(-2*x1*x2 - x1^2 + 2*x2)*d1*d2"],
+     ["(x1 - 1)*d1 + (-1)*d2", "(1)*d2^2", "(1)*d1*d2"],
+     {"s_pairs": 36, "reductions": 10, "division_steps": 35, "additions": 6}),
+    ("lex", ["(3*x1^2 + 2*x2 + x1 + 3)*d1", "-4*d1^2 - x2^2*d1*d2"],
+     ["(1)*d1"],
+     {"s_pairs": 21, "reductions": 9, "division_steps": 37, "additions": 5}),
+    ("deglex", ["4*d1 + x1*x2", "(2*x2^2 + x1)*d1", "d1*d2 + 2*x1^2*d2^2"],
+     ["(1)"],
+     {"s_pairs": 34, "reductions": 12, "division_steps": 23, "additions": 9}),
+    ("lex", ["4*d1 + x1*x2", "(2*x2^2 + x1)*d1", "d1*d2 + 2*x1^2*d2^2"],
+     ["(1)"],
+     {"s_pairs": 34, "reductions": 15, "division_steps": 45, "additions": 9}),
+    ("deglex", ["x1*d1 + x2", "d1*d2 + x1", "x2*d2 - 1"],
+     ["(1)"],
+     {"s_pairs": 7, "reductions": 5, "division_steps": 10, "additions": 5}),
+    ("deglex", ["x1^2*d1 + 1", "x1*d1^2 + d2"],
+     ["(1)"],
+     {"s_pairs": 12, "reductions": 8, "division_steps": 27, "additions": 7}),
+    # equal leads: pairs with equal lcms pop in (i, j) order
+    ("deglex", ["(x1*x2 - 2)*d1*d2 + 3", "3*x1*x2*d2", "3*x1*x2*d2"],
+     ["(1)"],
+     {"s_pairs": 38, "reductions": 11, "division_steps": 25, "additions": 10}),
+]
+
+
+@pytest.mark.parametrize("x_order, gens, ops, stats", WEYL_GOLDEN)
+def test_buchberger_weyl_golden_bases_and_counters(x_order, gens, ops, stats):
+    r = ring2()
+    g = buchberger_weyl([parse_op(r, t) for t in gens],
+                        WeylOrder(MonomialOrder(x_order), MonomialOrder("deglex")))
+    assert [str(p) for p in g.ops] == ops
+    assert g.stats == stats
