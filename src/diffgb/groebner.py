@@ -73,6 +73,30 @@ def divide(f: Poly, gens, order: MonomialOrder):
             _lowest(nv, rem, den))
 
 
+def _row_sub(row: dict, q: Poly, other: dict) -> dict:
+    """``row - q*other`` on sparse cofactor rows (column -> nonzero
+    ``Poly``), as a new dict; ``q`` is nonzero, so every product is."""
+    out = dict(row)
+    for k, b in other.items():
+        a = out.pop(k, None)
+        a = -(q * b) if a is None else a - q * b
+        if a:
+            out[k] = a
+    return out
+
+
+def _combine(coeffs, rows, cols: int, nv: int) -> list[Poly]:
+    """Dense row ``sum_u coeffs[u] * rows[u]`` of ``cols`` entries over
+    dense rows, skipping zero coefficients and zero row entries."""
+    out = [Poly.zero(nv)] * cols
+    for c, row in zip(coeffs, rows):
+        if c:
+            for k, a in enumerate(row):
+                if a:
+                    out[k] = out[k] + c * a if out[k] else c * a
+    return out
+
+
 def _tracked_groebner(gens, order: MonomialOrder):
     """Reduced Groebner base plus expression matrix over ``gens``.
 
@@ -83,6 +107,16 @@ def _tracked_groebner(gens, order: MonomialOrder):
     pairs smallest (lcm in the active order, i, j) first, and the
     coprime-lead pair criterion is applied.  A is not unique, so it
     depends on that order.
+
+    Inside the loop a cofactor row is sparse (column -> nonzero
+    ``Poly``), so a row update multiplies only entries that are there;
+    the dense rows of ``len(gens)`` entries are built once, at return.
+    Zero entries add nothing to a sum, so A is the same as with dense
+    rows.  Once a constant is in the base, whether an input or a
+    remainder, no further pair is popped (the unit exit): every later
+    S-polynomial divides to zero by the constant and pushes nothing,
+    and minimalization keeps only the first constant with its row, so
+    (G, A) is the same as when the queue is run to the end.
     """
     gens = list(gens)
     cols = len(gens)
@@ -90,39 +124,39 @@ def _tracked_groebner(gens, order: MonomialOrder):
         return [], []
     nv = gens[0].nvars
     one = Fraction(1)
+    unit = (0,) * nv
 
     basis: list[Poly] = []
-    exprs: list[list[Poly]] = []
+    exprs: list[dict[int, Poly]] = []
     leads: list[tuple] = []
 
-    def push(p: Poly, row: list[Poly]) -> None:
-        c = p.lc(order)
-        inv = one / c
+    def push(p: Poly, row: dict[int, Poly]) -> None:
+        inv = one / p.lc(order)
         basis.append(p * inv)
-        exprs.append([q * inv for q in row])
+        exprs.append({k: q * inv for k, q in row.items()})
         leads.append(p.lm(order))
 
     for k, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        row = [Poly.zero(nv) for _ in range(cols)]
-        row[k] = Poly.one(nv)
-        push(g, row)
+        if g:
+            push(g, {k: Poly.one(nv)})
 
-    for i, j, l in critical_pairs(leads, lcm_exp, order.key):
+    pairs = () if unit in leads else critical_pairs(leads, lcm_exp, order.key)
+    for i, j, l in pairs:
         ei, ej = leads[i], leads[j]
         if l == add_exp(ei, ej):
             continue  # coprime leads: S-polynomial reduces to zero
         mi = Poly._make(nv, {sub_exp(l, ei): 1})
         mj = Poly._make(nv, {sub_exp(l, ej): 1})
         s = mi * basis[i] - mj * basis[j]
-        row = [mi * a - mj * b for a, b in zip(exprs[i], exprs[j])]
+        row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
         q, r = divide(s, basis, order)
         for t, qt in enumerate(q):
             if qt:
-                row = [a - qt * b for a, b in zip(row, exprs[t])]
+                row = _row_sub(row, qt, exprs[t])
         if r:
             push(r, row)
+            if leads[-1] == unit:
+                break
 
     if not basis:
         return [], []
@@ -133,15 +167,16 @@ def _tracked_groebner(gens, order: MonomialOrder):
     # tail reduction against the other survivors
     final: list[Poly] = []
     final_exprs: list[list[Poly]] = []
+    zero = Poly.zero(nv)
     for t in keep:
         others = [u for u in keep if u != t]
         q, r = divide(basis[t], [basis[u] for u in others], order)
         row = exprs[t]
         for qt, u in zip(q, others):
             if qt:
-                row = [a - qt * b for a, b in zip(row, exprs[u])]
+                row = _row_sub(row, qt, exprs[u])
         final.append(r)
-        final_exprs.append(row)
+        final_exprs.append([row.get(k, zero) for k in range(cols)])
     # the kept leads ascend and tail division keeps each one: no re-sort
     return final, final_exprs
 
@@ -210,12 +245,9 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
             vg = [-qq for qq in q]
             vg[i] = vg[i] + mi
             vg[j] = vg[j] - mj
-            raw.append([sum((vg[u] * A[u][k] for u in range(t)), Poly.zero(nv)) for k in range(r)])
+            raw.append(_combine(vg, A, r, nv))
     for k in range(r):
-        row = [
-            sum((-B[k][u] * A[u][c] for u in range(t)), Poly.zero(nv))
-            for c in range(r)
-        ]
+        row = _combine([-b for b in B[k]], A, r, nv)
         row[k] = row[k] + Poly.one(nv)
         raw.append(row)
 
@@ -274,10 +306,7 @@ class PolyIdeal:
         q, rem = divide(f, g, self.order)
         if rem:
             return None
-        return [
-            sum((q[t] * a[t][k] for t in range(len(g))), Poly.zero(nv))
-            for k in range(r)
-        ]
+        return _combine(q, a, r, nv)
 
     def contains(self, f: Poly) -> bool:
         if f.is_zero():
@@ -288,7 +317,8 @@ class PolyIdeal:
         return divide(f, g, self.order)[1].is_zero()
 
     def is_zero(self) -> bool:
-        return not self.groebner
+        # the ideal is zero iff every generator is: no base needed
+        return not any(self.generators)
 
     def is_unit(self) -> bool:
         g = self.groebner

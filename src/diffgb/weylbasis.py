@@ -82,12 +82,15 @@ def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
     return WeylExp(e, beta), c
 
 
-def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
+def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
+                _heads=None):
     """Full division in the Weyl algebra.
 
     Returns (cofactors, remainder) with p = sum q_i*gens_i + r, no
     monomial of r divisible by any leading exponent of gens, and
-    exp_full of every q_i*gens_i bounded by exp_full(p).
+    exp_full of every q_i*gens_i bounded by exp_full(p).  ``_heads`` is
+    the list of those leading exponents when the caller already holds
+    it (``buchberger_weyl``'s leads), one per divisor in the same order.
     """
     gens = list(gens)
     _require_weyl(p)
@@ -95,7 +98,10 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         raise ValueError("division by a zero operator")
     ring = p.ring
     nv = ring.nvars
-    heads = [exp_full(g, worder) for g in gens]
+    if _heads is None:
+        _heads = [exp_full(g, worder) for g in gens]
+    # each head as one flat tuple x + d, tested against the step's xe + beta
+    heads = [hw.x + hw.d for hw in _heads]
     kd, kx = worder.order_d.key, worder.order_x.key
 
     # fraction-free working copy: d-exponent -> x-exponent -> integer
@@ -119,10 +125,12 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None):
         prev = we
         if _stats is not None:
             _stats["division_steps"] += 1
-        for i, hw in enumerate(heads):
-            if _w_divides(hw, we):
-                dshift = sub_exp(we.d, hw.d)
-                xshift = sub_exp(we.x, hw.x)
+        flat = xe + beta
+        for i, hf in enumerate(heads):
+            if all(map(le, hf, flat)):
+                hw = _heads[i]
+                dshift = sub_exp(beta, hw.d)
+                xshift = sub_exp(xe, hw.x)
                 mono = DiffOp._make(ring, {dshift: Poly._make(nv, {xshift: 1})})
                 # the product's leading monomial is we, with g's leading
                 # coefficient; bring it over one denominator pd
@@ -253,7 +261,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         s = s_operator_weyl(basis[i], basis[j], worder)
         if s.is_zero():
             continue
-        _, r = divide_weyl(s, basis, worder, _stats=stats)
+        _, r = divide_weyl(s, basis, worder, _stats=stats, _heads=leads)
         stats["reductions"] += 1
         if r.is_zero():
             continue
@@ -273,7 +281,9 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     keep = minimal_indices(leads, worder.key, _w_divides)
     final = []
     for t in keep:
-        _, r = divide_weyl(basis[t], [basis[u] for u in keep if u != t], worder)
+        others = [u for u in keep if u != t]
+        _, r = divide_weyl(basis[t], [basis[u] for u in others], worder,
+                           _heads=[leads[u] for u in others])
         final.append(_primitive_weyl(r, worder))
     # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)

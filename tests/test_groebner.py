@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from diffgb import MonomialOrder, Poly, PolyIdeal, RingSpec, buchberger, divide, syzygies
+from diffgb import groebner
 from diffgb.groebner import _normalize_vector, _tracked_groebner
 from diffgb.orders import deglex, lex
 from helpers import (
@@ -333,10 +334,48 @@ TRACKED_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("kind, gens, basis, rows", TRACKED_GOLDEN)
-def test_tracked_groebner_golden_expression_matrices(kind, gens, basis, rows):
+# The unit exit and the zero columns, recorded before either the exit or
+# sparse rows existed: a constant that appears mid-run with pairs still
+# queued, a constant input that is not the last generator, and zero
+# generators between nonzero ones.
+UNIT_GOLDEN = [
+    ("deglex", ["x1*x2 - 1", "x1^2", "x2^2"],
+     ["1"], [["-x1*x2 - 1", "0", "x1^2"]]),
+    ("deglex", ["x1*x2 - 2*x3", "3", "x1^2 + x3", "x2*x3 - x1"],
+     ["1"], [["0", "1/3", "0", "0"]]),
+    ("lex", ["x1*x3 - x2", "0", "x2^2 - x1", "0", "x1*x2 + x3"],
+     ["x3^5 + x3", "x3^3 + x2", "x3^2 + x1"],
+     [["-x2*x3^3 - x3^2 + x2^2", "0", "-x3^3 + x2", "0", "x3^4 - x2*x3 + 1"],
+      ["-x2*x3 - 1", "0", "-x3", "0", "x3^2"], ["-x2", "0", "-1", "0", "x3"]]),
+]
+
+
+def _cone_polys(texts):
     ring = RingSpec(3)
-    polys = [parse_op(ring, t).terms[(0, 0, 0)] for t in gens]
-    G, A = _tracked_groebner(polys, MonomialOrder(kind))
+    return [parse_op(ring, t).terms.get((0, 0, 0), Poly.zero(3)) for t in texts]
+
+
+@pytest.mark.parametrize("kind, gens, basis, rows", TRACKED_GOLDEN + UNIT_GOLDEN)
+def test_tracked_groebner_golden_expression_matrices(kind, gens, basis, rows):
+    G, A = _tracked_groebner(_cone_polys(gens), MonomialOrder(kind))
     assert [str(g) for g in G] == basis
     assert [[str(a) for a in row] for row in A] == rows
+
+
+@pytest.mark.parametrize("kind, gens", [
+    (kind, gens) for kind, gens, _, _ in UNIT_GOLDEN[:2]] + [
+    ("degrevlex", ["2*x1*x3 - x2 + 1", "x2^2 - 3*x1", "x3^2 + x1*x2", "x1^2 - x3"])])
+def test_tracked_groebner_stops_once_a_constant_is_in_the_base(kind, gens, monkeypatch):
+    # every S-polynomial would divide to zero by the constant, so no
+    # division may see one among its divisors (the tail reduction of
+    # the constant itself divides by nothing)
+    divide_ = groebner.divide
+
+    def checked(f, divisors, order):
+        divisors = list(divisors)
+        assert not any(g.is_constant() for g in divisors), "pair popped after a constant"
+        return divide_(f, divisors, order)
+
+    monkeypatch.setattr(groebner, "divide", checked)
+    G, _ = _tracked_groebner(_cone_polys(gens), MonomialOrder(kind))
+    assert [str(g) for g in G] == ["1"]

@@ -1,9 +1,10 @@
 """Property tests: Poly ring axioms against a plain Fraction-dict oracle,
-the contract of commutative division, and the operator print/parse
+the contracts of commutative division, tracked bases, syzygies,
+cofactor membership and delta reduction, and the operator print/parse
 round trip.
 
 Examples are derandomized and bounded, so every run checks the same
-cases in about a second.
+cases in a few seconds.
 """
 
 from fractions import Fraction
@@ -11,9 +12,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffgb import DiffOp, Poly, ProblemFile, RingSpec, divide, parse_expression
+from diffgb import (DiffOp, GeneratorSet, Poly, PolyIdeal, ProblemFile, RingSpec, divide,
+                    is_reduced, parse_expression, reduce, syzygies)
+from diffgb.groebner import _tracked_groebner
 from diffgb.orders import deglex, divides, lex
-from helpers import assert_canonical_poly, naive_divide
+from helpers import assert_canonical_poly, naive_divide, naive_reduced_groebner
 
 NV = 2
 PROPS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -87,6 +90,51 @@ def test_divide_contract(f, gens, order):
     assert_canonical_poly(r)
 
 
+def combination(coeffs, gens):
+    return sum((c * g for c, g in zip(coeffs, gens)), Poly.zero(NV))
+
+
+# generator lists of a cone ideal: small polynomials, zero ones mixed in
+small = st.dictionaries(st.tuples(*[st.integers(0, 2)] * NV), coeffs,
+                        min_size=1, max_size=3).map(lambda d: Poly(NV, d))
+generators = st.lists(st.one_of(st.just(Poly.zero(NV)), small), min_size=1, max_size=3)
+
+
+@PROPS
+@given(generators, orders)
+def test_tracked_groebner_rows_express_the_reduced_base(gens, order):
+    G, A = _tracked_groebner(gens, order)
+    assert G == naive_reduced_groebner(gens, order)
+    assert len(A) == len(G)
+    for g, row in zip(G, A):
+        assert len(row) == len(gens)
+        assert all(not a for a, k in zip(row, gens) if not k)
+        assert combination(row, gens) == g
+
+
+@PROPS
+@given(generators.map(lambda gs: [g for g in gs if g]).filter(bool), orders)
+def test_syzygy_rows_annihilate_the_generators(gens, order):
+    for row in syzygies(gens, order):
+        assert len(row) == len(gens) and any(row)
+        assert not combination(row, gens)
+
+
+@PROPS
+@given(generators, st.lists(polys, min_size=3, max_size=3), polys, orders)
+def test_member_with_cofactors_reconstructs_members(gens, mults, other, order):
+    ideal = PolyIdeal(gens, order)
+    member = combination(mults, gens)
+    cof = ideal.member_with_cofactors(member)
+    assert cof is not None and len(cof) == len(gens)
+    assert combination(cof, gens) == member
+    cof = ideal.member_with_cofactors(other)
+    inside = naive_divide(other, naive_reduced_groebner(gens, order), order).is_zero()
+    assert (cof is not None) == inside
+    if cof is not None:
+        assert combination(cof, gens) == other
+
+
 # operators shaped like helpers.rand_op's (a few terms, small exponents),
 # with rational coefficients and a parameter x3
 RING = RingSpec(2, 1)
@@ -100,3 +148,20 @@ operators = st.dictionaries(st.tuples(*[st.integers(0, 2)] * RING.n), op_coeffs,
 @given(operators)
 def test_operator_text_parses_back_to_the_operator(op):
     assert parse_expression(op.to_str(), ProblemFile(RING, {}, None)) == op
+
+
+@PROPS
+@given(operators, st.lists(operators.filter(bool), min_size=1, max_size=3), st.booleans())
+def test_reduce_trace_identity_reduced_remainder_and_exponent_bound(p, ops, tail):
+    f = GeneratorSet(ops, RING)
+    tr = reduce(p, f, tail=tail)
+    products = [q * g for q, g in zip(tr.cofactors, f.ops)]
+    assert sum(products, tr.remainder) == p
+    rem = tr.remainder
+    # without tail only the head has to be irreducible; with it every term
+    heads = [rem] if not tail else [DiffOp(RING, {a: c}) for a, c in rem.terms.items()]
+    assert all(is_reduced(h, f) for h in heads)
+    if p:
+        key = RING.order_delta.key
+        tops = [t.exp_delta() for t in products + [rem] if t]
+        assert max(tops, key=key) == p.exp_delta()
