@@ -13,31 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
-from .deltabasis import (
-    CompletionCapExceeded,
-    GeneratorSet,
-    _first_failure,
-    complete,
-    cone_ideal,
-    member,
-    reduce,
-    s_delta_operators,
-)
+from .deltabasis import (CompletionCapExceeded, GeneratorSet, _first_failure, complete,
+                         cone_ideal, member, reduce, s_delta_operators)
 from .dmodule import finiteness_test, flatness_report
 from .groebner import PolyIdeal, syzygies
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import display_order
-from .problems import (
-    COMMANDS,
-    ParseError,
-    ProblemFile,
-    parse_expression,
-    parse_problem,
-    rebind_order,
-)
+from .problems import (COMMANDS, ParseError, ProblemFile, Token, _Parser, _tokenize,
+                       parse_expression, parse_problem, rebind_order)
 from .weylbasis import WeylOrder, buchberger_weyl, divide_weyl, gb_implies_delta_check
 
 EXIT_OK = 0
@@ -62,7 +48,8 @@ class ResultDocument:
     certificate: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # the fields as they stand: a deep copy of them would change nothing
+        return json.dumps(vars(self), indent=2)
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]
@@ -132,19 +119,8 @@ def _render_block(value, depth: int) -> list[str]:
 
 # -- result construction ---------------------------------------------------
 
-
-def _ring_info(ring) -> dict:
-    return {
-        "variables": list(ring.names),
-        "derivations": list(ring.dnames),
-        "order": ring.order_delta.kind,
-    }
-
-
-def _input_ops(problem: ProblemFile):
-    if not problem.operators:
-        raise UsageError("the problem defines no operators")
-    return list(problem.operators.values())
+# the subcommands whose output reads the completed base of the inputs
+_COMPLETING = ("delta-gb", "member", "stair", "flatness", "finiteness", "compare")
 
 
 def _ideal_strs(ideal: PolyIdeal, names) -> list[str]:
@@ -162,29 +138,30 @@ def _named(problem: ProblemFile, ops) -> list[tuple[str, str]]:
     return [(n, p.to_str()) for n, p in zip(names, ops)]
 
 
-def _parse_alpha(ring, value) -> tuple:
-    if isinstance(value, tuple):
-        entries = value
-    else:
-        body = str(value).strip().strip("()")
-        try:
-            entries = tuple(int(t.strip()) for t in body.split(",") if t.strip())
-        except ValueError:
-            raise UsageError(f"cannot read exponent tuple {value!r}") from None
-    if len(entries) != ring.n or any(t < 0 for t in entries):
-        raise UsageError(
-            f"alpha must be {ring.n} nonnegative integers, got {value!r}")
-    return tuple(entries)
+def _sections(problem: ProblemFile, b, keys: str) -> dict:
+    """The sections of a completed base named in keys, in that order."""
+    build = {
+        "basis": lambda: [f"{n} = {s}" for n, s in _named(problem, b.ops)],
+        "stair": lambda: [list(a) for a in b.stair],
+        "cones": lambda: {_fmt(list(a)): _ideal_strs(b.cones[a], problem.ring.names)
+                          for a in b.stair},
+        "stats": lambda: dict(b.stats),
+    }
+    return {k: build[k]() for k in keys.split()}
 
 
-def _operand(problem: ProblemFile, doc: ResultDocument, expr):
-    """The command's operator, parsed if given as text and listed as an input."""
-    if expr is None:
-        raise UsageError("this command needs an operator expression")
-    if isinstance(expr, str):
-        expr = parse_expression(expr, problem)
-    doc.inputs.append(f"operand = {expr.to_str()}")
-    return expr
+def _read_alpha(ring, value) -> tuple:
+    """An exponent tuple in the problem file's grammar, the parentheses
+    optional; a tuple from a command statement is read back the same way."""
+    text = value if isinstance(value, str) else ",".join(map(str, value or ()))
+    try:
+        statements = _tokenize(text if text.lstrip().startswith("(") else f"({text})")
+        parser = _Parser()
+        parser.ring = ring
+        toks = statements[0] if len(statements) == 1 else []
+        return parser._alpha(toks, Token("sym", text, 1, 1))
+    except ParseError as e:
+        raise UsageError(f"cannot read exponent tuple {text!r}: {e.message}") from None
 
 
 def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
@@ -192,75 +169,69 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
                 tail: bool = False) -> ResultDocument:
     """Execute one subcommand against a parsed problem."""
     ring = problem.ring
-    ops = _input_ops(problem)
+    ops = list(problem.operators.values())
+    if not ops:
+        raise UsageError("the problem defines no operators")
     if command == "run":
         payload = problem.command
         if payload is None:
             raise UsageError("the problem file carries no command statement")
         command, expr, alpha = payload.name, payload.expr, payload.alpha
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
     inputs = [f"{k} = {v.to_str()}" for k, v in problem.operators.items()]
-    doc = ResultDocument(command, _ring_info(ring), inputs, {})
-
-    if command == "delta-gb":
-        b = complete(ops, cap)
-        doc.outputs = {
-            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
-            "stair": [list(a) for a in b.stair],
-            "cones": {_fmt(list(a)): _ideal_strs(b.cones[a], ring.names)
-                      for a in b.stair},
-            "stats": dict(b.stats),
-        }
-    elif command == "gb":
+    info = {"variables": list(ring.names), "derivations": list(ring.dnames),
+            "order": ring.order_delta.kind}
+    doc = ResultDocument(command, info, inputs, {})
+    # the shared work, in the order errors are reported: the argument,
+    # the completed base, then the classical base
+    if COMMANDS[command] == "expr":
+        if expr is None:
+            raise UsageError("this command needs an operator expression")
+        if isinstance(expr, str):
+            expr = parse_expression(expr, problem)
+        doc.inputs.append(f"operand = {expr.to_str()}")
+    elif COMMANDS[command] == "alpha":
+        alpha = _read_alpha(ring, alpha)
+    b = complete(ops, cap) if command in _COMPLETING else None
+    if command in ("gb", "compare"):
         worder = WeylOrder(MonomialOrder(order_x), ring.order_delta)
         w = buchberger_weyl(ops, worder, cap)
-        doc.outputs = {
-            "order_x": order_x,
-            "basis": [p.to_str() for p in w.ops],
-            "stats": dict(w.stats),
-        }
+        weyl = {"order_x": order_x, "basis": [p.to_str() for p in w.ops],
+                "stats": dict(w.stats)}
+
+    if command == "delta-gb":
+        doc.outputs = _sections(problem, b, "basis stair cones stats")
+    elif command == "gb":
+        doc.outputs = weyl
     elif command == "reduce":
-        p = _operand(problem, doc, expr)
-        tr = reduce(p, GeneratorSet(ops, ring), tail=tail)
+        tr = reduce(expr, GeneratorSet(ops, ring), tail=tail)
         doc.outputs = {
             "remainder": tr.remainder.to_str(),
             "cofactors": dict(_named(problem, tr.cofactors)),
             "steps": tr.steps,
         }
     elif command == "member":
-        p = _operand(problem, doc, expr)
-        b = complete(ops, cap)
-        tr = reduce(p, b.genset)
-        doc.outputs = {
-            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
-            "stats": dict(b.stats),
-        }
+        tr = reduce(expr, b.genset)
+        doc.outputs = _sections(problem, b, "basis stats")
         doc.verdict = tr.remainder.is_zero()
         if doc.verdict:
             doc.certificate = {"cofactors": dict(_named(problem, tr.cofactors))}
         else:
             doc.certificate = {"remainder": tr.remainder.to_str()}
     elif command == "stair":
-        b = complete(ops, cap)
-        doc.outputs = {
-            "basis": [f"{n} = {s}" for n, s in _named(problem, b.ops)],
-            "stair": [list(a) for a in b.stair],
-        }
+        doc.outputs = _sections(problem, b, "basis stair")
     elif command == "cone":
-        a = _parse_alpha(ring, alpha)
-        ideal = cone_ideal(a, GeneratorSet(ops, ring))
+        ideal = cone_ideal(alpha, GeneratorSet(ops, ring))
         doc.outputs = {
-            "alpha": list(a),
+            "alpha": list(alpha),
             "generators": _ideal_strs(ideal, ring.names),
             "unit": ideal.is_unit(),
         }
     elif command == "sdelta":
-        a = _parse_alpha(ring, alpha)
-        try:
-            sops = s_delta_operators(GeneratorSet(ops, ring), a)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        sops = s_delta_operators(GeneratorSet(ops, ring), alpha)
         doc.outputs = {
-            "alpha": list(a),
+            "alpha": list(alpha),
             "operators": [
                 {
                     "lambda": {n: lam.to_str(ring.names)
@@ -281,38 +252,30 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
                 "remainder": tr.remainder.to_str(),
             }
     elif command == "flatness":
-        b = complete(ops, cap)
         rep = flatness_report(b)
         doc.outputs = {
-            "stair": [list(a) for a in rep.stair],
-            "cones": {_fmt(list(a)): _ideal_strs(rep.cone_ideals[a], ring.names)
-                      for a in rep.stair},
+            **_sections(problem, b, "stair cones"),
             "J": _ideal_strs(rep.J, ring.names),
             "zero_cone": _ideal_strs(rep.zero_cone, ring.names),
             "maximal_set_known": rep.maximal_set_known,
         }
         doc.verdict = rep.globally_flat
     elif command == "finiteness":
-        b = complete(ops, cap)
         rep = finiteness_test(b)
-        doc.outputs = {
-            "witnesses": [
-                {
-                    "direction": ring.dnames[w.coordinate],
-                    "degree": w.degree,
-                    "certificate": _ideal_strs(w.certificate, ring.names),
-                    "unit": w.unit,
-                }
-                for w in rep.witnesses
-            ],
-        }
+        witnesses = [
+            {
+                "direction": ring.dnames[w.coordinate],
+                "degree": w.degree,
+                "certificate": _ideal_strs(w.certificate, ring.names),
+                "unit": w.unit,
+            }
+            for w in rep.witnesses
+        ]
+        doc.outputs = {"witnesses": witnesses}
         doc.verdict = rep.finite
         if not rep.finite:
-            bad = next(w for w in rep.witnesses if not w.unit)
-            doc.certificate = {
-                "direction": ring.dnames[bad.coordinate],
-                "certificate": _ideal_strs(bad.certificate, ring.names),
-            }
+            bad = next(w for w in witnesses if not w["unit"])
+            doc.certificate = {k: bad[k] for k in ("direction", "certificate")}
     elif command == "syzygy":
         zero = (0,) * ring.n
         polys = []
@@ -325,13 +288,7 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
         doc.outputs = {
             "rows": [[p.to_str(ring.names) for p in row] for row in rows],
         }
-    elif command == "compare":
-        worder = WeylOrder(MonomialOrder(order_x), ring.order_delta)
-        b = complete(ops, cap)
-        try:
-            w = buchberger_weyl(ops, worder, cap)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+    else:  # compare
         checks = {
             "delta_basis_divides_to_zero": all(
                 divide_weyl(p, list(w.ops), worder)[1].is_zero() for p in b.ops),
@@ -341,20 +298,11 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
                 list(w.ops), worder),
         }
         doc.outputs = {
-            "delta": {
-                "basis": [p.to_str() for p in b.ops],
-                "stats": dict(b.stats),
-            },
-            "weyl": {
-                "order_x": order_x,
-                "basis": [p.to_str() for p in w.ops],
-                "stats": dict(w.stats),
-            },
+            "delta": {"basis": [p.to_str() for p in b.ops], "stats": dict(b.stats)},
+            "weyl": weyl,
             "checks": checks,
         }
         doc.verdict = all(checks.values())
-    else:
-        raise UsageError(f"unknown command {command!r}")
     return doc
 
 
@@ -413,33 +361,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        text = Path(args.file).read_text()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        problem = parse_problem(text)
+        problem = parse_problem(Path(args.file).read_text())
         if args.order is not None:
             problem = rebind_order(problem, args.order)
-        doc = run_command(
-            problem,
-            args.command,
-            expr=getattr(args, "expr", None),
-            alpha=getattr(args, "alpha", None),
-            order_x=args.order_x,
-            cap=args.cap,
-            tail=args.tail_reduce,
-        )
-    except (ParseError, UsageError, ValueError) as e:
+        doc = run_command(problem, args.command, expr=getattr(args, "expr", None),
+                          alpha=getattr(args, "alpha", None), order_x=args.order_x,
+                          cap=args.cap, tail=args.tail_reduce)
+    except (OSError, ParseError, UsageError, ValueError, CompletionCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except CompletionCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_CAP if isinstance(e, CompletionCapExceeded) else EXIT_USAGE
     print(doc.to_json() if args.json else doc.render())
-    if doc.verdict is None or doc.verdict:
-        return EXIT_OK
-    return EXIT_NEGATIVE
+    return EXIT_NEGATIVE if doc.verdict is False else EXIT_OK
 
 
 if __name__ == "__main__":

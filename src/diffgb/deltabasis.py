@@ -265,8 +265,11 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
     at the stair are kept, the ones the base reports, so a finished
     base does not hold the bases of every cone the completion visited.
 
-    Raises CompletionCapExceeded after ``cap`` additions.
+    Raises CompletionCapExceeded after ``cap`` additions, and ValueError
+    for a negative cap before any work.
     """
+    if cap < 0:
+        raise ValueError(f"the cap must be nonnegative, got {cap}")
     gs = GeneratorSet(f)
     ring = gs.ring
     stats = {"rounds": 0, "s_operators": 0, "reductions": 0,

@@ -214,8 +214,11 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
 
     Output elements are integer-primitive with positive leading sign,
     inter-reduced and sorted ascending by leading exponent.  Raises
-    CompletionCapExceeded after ``cap`` additions.
+    CompletionCapExceeded after ``cap`` additions, and ValueError for a
+    negative cap before any work.
     """
+    if cap < 0:
+        raise ValueError(f"the cap must be nonnegative, got {cap}")
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")

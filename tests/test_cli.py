@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,34 @@ dvars d1 d2
 E = x1*d1 + d2
 X = x1
 """
+
+
+SYZ = """\
+ring x1 x2
+dvars d1 d2
+A = x1
+B = x2 - x1
+C = x1*x2 - x1^2
+"""
+
+# subcommand -> (problem text, arguments after the file) for the golden
+# documents: the running example, and derivation-free operators for syzygy
+GOLDEN_CASES = {
+    "run": (EX6 + "sdelta (1,1)\n", []),
+    "delta-gb": (EX6, []),
+    "gb": (EX6, []),
+    "reduce": (EX6, ["x1*d1*d2 + d2^2", "--tail-reduce"]),
+    "member": (EX6, ["d2*P1 - d1*P2"]),
+    "stair": (EX6, []),
+    "cone": (EX6, ["--alpha", "1,0"]),
+    "sdelta": (EX6, ["--alpha", "(1,1)"]),
+    "verify-delta-gb": (EX6, []),
+    "flatness": (EX6, []),
+    "finiteness": (EX6, []),
+    "syzygy": (SYZ, []),
+    "compare": (EX6, []),
+}
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
 
 def write(tmp_path, text, name="prob.dop"):
@@ -124,10 +153,12 @@ def test_stair_respects_order_flag(tmp_path, capsys):
 
 
 def test_cone_output(tmp_path, capsys):
-    rc, out = run(tmp_path, EX6, ["cone", "FILE", "--alpha", "(1,0)"], capsys)
-    assert rc == 0
-    assert "alpha: (1, 0)" in out
-    assert "x1" in out and "unit: no" in out
+    # the parentheses around --alpha are optional
+    for alpha in ("(1,0)", "1,0", " ( 1 , 0 ) "):
+        rc, out = run(tmp_path, EX6, ["cone", "FILE", "--alpha", alpha], capsys)
+        assert rc == 0
+        assert "alpha: (1, 0)" in out
+        assert "x1" in out and "unit: no" in out
 
 
 def test_sdelta_output(tmp_path, capsys):
@@ -243,10 +274,24 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_bad_alpha_exit_code(tmp_path, capsys):
-    rc, _ = run(tmp_path, EX6, ["cone", "FILE", "--alpha", "(1,2,3)"], capsys)
-    assert rc == 2
-    rc, _ = run(tmp_path, EX6, ["cone", "FILE", "--alpha", "pears"], capsys)
-    assert rc == 2
+    bad = ["(1,2,3)", "pears",
+           # --alpha takes the problem file's tuple grammar: 1_0 is no
+           # integer literal, and stray commas, parentheses, signs and
+           # statement breaks are errors
+           "1_0,0", "1,,0", "((1,0))", "1,0)", "+1,0", "1;0", ""]
+    for alpha in bad:
+        rc, out = run(tmp_path, EX6, ["cone", "FILE", "--alpha", alpha], capsys)
+        assert rc == 2, alpha
+        assert "cannot read exponent tuple" in out
+
+
+@pytest.mark.parametrize("text", [EULER, EX6])
+def test_negative_cap_is_a_usage_error(tmp_path, capsys, text):
+    # EULER needs an addition, EX6 none: either way the cap is refused
+    for cmd in ("delta-gb", "gb"):
+        rc, out = run(tmp_path, text, [cmd, "FILE", "--cap", "-1"], capsys)
+        assert rc == 2
+        assert "cap must be nonnegative" in out
 
 
 def test_unknown_subcommand_exit_code(tmp_path, capsys):
@@ -313,3 +358,29 @@ def test_member_no_verdict_reduces_once(tmp_path, capsys, monkeypatch):
     rc, out = run(tmp_path, EX6, ["member", "FILE", "1"], capsys)
     assert rc == 1 and "remainder: (1)" in out
     assert calls.count("(1)") == 1
+
+
+@pytest.mark.parametrize("command", GOLDEN_CASES)
+def test_golden_documents(tmp_path, capsys, command):
+    # full text and JSON output with the exit code: a change of wording,
+    # key order or exit code fails here
+    want = json.loads(GOLDEN.read_text())[command]
+    text, extra = GOLDEN_CASES[command]
+    for fmt, flags in (("text", []), ("json", ["--json"])):
+        rc, out = run(tmp_path, text, [command, "FILE", *extra, *flags], capsys)
+        assert rc == want["code"], fmt
+        assert out == want[fmt], fmt
+
+
+def test_golden_documents_cover_every_subcommand():
+    assert tuple(GOLDEN_CASES) == ("run",) + tuple(COMMANDS)
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(GOLDEN_CASES)
+
+
+def test_readme_subcommand_table_follows_the_parser():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("### Subcommands", 1)[1].split("\n#", 1)[0]
+    names = [line.split("`")[1].split()[0] for line in section.splitlines()
+             if line.startswith("| `")]
+    assert sorted(names) == sorted(_subparsers())
+    assert len(names) == len(set(names))

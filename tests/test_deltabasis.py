@@ -375,6 +375,16 @@ def test_complete_cap_trips():
         complete([parse_op(r, "x1*d1 + d2"), parse_op(r, "x1")], cap=0)
 
 
+def test_complete_rejects_negative_cap_before_any_work():
+    r = ring2()
+    needs_one = [parse_op(r, "x1*d1 + d2"), parse_op(r, "x1")]
+    _, p1, p2 = example6_ops()
+    # with or without an addition to make, and before the input is read
+    for gens in (needs_one, [p1, p2], []):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            complete(gens, cap=-1)
+
+
 def test_complete_rejects_empty_and_zero():
     r = ring2()
     with pytest.raises(ValueError):

@@ -199,6 +199,13 @@ def test_buchberger_weyl_cap():
         buchberger_weyl([p1, p2], W, cap=0)
 
 
+def test_buchberger_weyl_rejects_negative_cap_before_any_work():
+    r, p1, p2 = example6_ops()
+    for gens in ([p1, p2], [p1], []):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            buchberger_weyl(gens, W, cap=-1)
+
+
 def test_classical_base_passes_delta_criterion():
     # the positive bridge, checked on computed bases
     rng = random.Random(66)
