@@ -22,8 +22,8 @@ from .dmodule import finiteness_test, flatness_report
 from .groebner import PolyIdeal, syzygies
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import display_order
-from .problems import (COMMANDS, ParseError, ProblemFile, Token, _Parser, _tokenize,
-                       parse_expression, parse_problem, rebind_order)
+from .problems import (COMMANDS, ParseError, ProblemFile, parse_alpha, parse_expression,
+                       parse_problem, rebind_order)
 from .weylbasis import WeylOrder, buchberger_weyl, divide_weyl, gb_implies_delta_check
 
 EXIT_OK = 0
@@ -150,20 +150,6 @@ def _sections(problem: ProblemFile, b, keys: str) -> dict:
     return {k: build[k]() for k in keys.split()}
 
 
-def _read_alpha(ring, value) -> tuple:
-    """An exponent tuple in the problem file's grammar, the parentheses
-    optional; a tuple from a command statement is read back the same way."""
-    text = value if isinstance(value, str) else ",".join(map(str, value or ()))
-    try:
-        statements = _tokenize(text if text.lstrip().startswith("(") else f"({text})")
-        parser = _Parser()
-        parser.ring = ring
-        toks = statements[0] if len(statements) == 1 else []
-        return parser._alpha(toks, Token("sym", text, 1, 1))
-    except ParseError as e:
-        raise UsageError(f"cannot read exponent tuple {text!r}: {e.message}") from None
-
-
 def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
                 order_x: str = "deglex", cap: int = 10000,
                 tail: bool = False) -> ResultDocument:
@@ -192,7 +178,12 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
             expr = parse_expression(expr, problem)
         doc.inputs.append(f"operand = {expr.to_str()}")
     elif COMMANDS[command] == "alpha":
-        alpha = _read_alpha(ring, alpha)
+        # a tuple from a command statement is read back the same way
+        text = alpha if isinstance(alpha, str) else ",".join(map(str, alpha or ()))
+        try:
+            alpha = parse_alpha(text, problem)
+        except ParseError as e:
+            raise UsageError(f"cannot read exponent tuple {text!r}: {e.message}") from None
     b = complete(ops, cap) if command in _COMPLETING else None
     if command in ("gb", "compare"):
         worder = WeylOrder(MonomialOrder(order_x), ring.order_delta)

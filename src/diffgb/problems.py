@@ -43,11 +43,12 @@ MAX_EXPONENT = 1000
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
+      | (?P<sep>[\n;])
       | (?P<rat>\d+/\d+)
       | (?P<nat>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<sym>[-+*^()=;,])
+      | (?P<sym>[-+*^()=,])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -64,7 +65,7 @@ class ParseError(Exception):
 
 
 class Token(NamedTuple):
-    kind: str   # 'nat' | 'rat' | 'ident' | 'sym' | 'end'
+    kind: str   # 'nat' | 'rat' | 'ident' | 'sym'
     value: str
     line: int
     col: int
@@ -72,37 +73,19 @@ class Token(NamedTuple):
 
 def _tokenize(text: str) -> list[list[Token]]:
     """Token lists, one per statement (split on ';' and newlines)."""
-    statements: list[list[Token]] = []
-    current: list[Token] = []
-
-    def flush():
-        if current:
-            statements.append(list(current))
-            current.clear()
-
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "newline":
-            flush()
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        elif kind == "sym" and value == ";":
-            flush()
-            col += 1
-        else:
-            current.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    flush()
-    return statements
+    statements: list[list[Token]] = [[]]
+    line, start = 1, 0  # start: the offset where the current line begins
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, m.start() - start + 1)
+        if kind == "sep":
+            statements.append([])
+            if value == "\n":
+                line, start = line + 1, m.end()
+        elif kind not in ("ws", "comment"):
+            statements[-1].append(Token(kind, value, line, m.start() - start + 1))
+    return [s for s in statements if s]
 
 
 @dataclass
@@ -122,13 +105,22 @@ class ProblemFile:
 
 
 class _Parser:
-    def __init__(self):
-        self.xnames: tuple[str, ...] | None = None
-        self.dnames: tuple[str, ...] | None = None
+    """The one reader of problem text: statements, expressions (by
+    recursive descent, every value an operator) and exponent tuples.
+    Seeded with a parsed problem, it reads in that problem's ring and
+    operators."""
+
+    def __init__(self, problem: ProblemFile | None = None):
+        self.ring: RingSpec | None = problem.ring if problem else None
+        self.xnames = self.ring.names if problem else None
+        self.dnames = self.ring.dnames if problem else None
         self.order_kind = "deglex"
-        self.ring: RingSpec | None = None
-        self.operators: dict[str, DiffOp] = {}
+        self.operators: dict[str, DiffOp] = problem.operators if problem else {}
         self.command: Command | None = None
+        # the expression cursor, and the anchor for end-of-input errors
+        self.toks: list[Token] = []
+        self.pos = 0
+        self.at: Token | None = None
 
     # -- statement level -------------------------------------------------
 
@@ -197,8 +189,7 @@ class _Parser:
             raise ParseError(f"{name!r} is a ring variable", name_tok.line, name_tok.col)
         if name in self.operators:
             raise ParseError(f"{name!r} is already defined", name_tok.line, name_tok.col)
-        value = _ExprParser(self, toks[2:], toks[1]).parse_all()
-        self.operators[name] = value
+        self.operators[name] = self.expression(toks[2:], toks[1])
 
     def _command(self, toks: list[Token]) -> None:
         # command names may contain '-': join ident ('-' ident)* greedily
@@ -223,7 +214,7 @@ class _Parser:
             if not rest:
                 raise ParseError(f"'{name}' needs an operator expression",
                                  toks[0].line, toks[0].col)
-            cmd.expr = _ExprParser(self, rest, toks[0]).parse_all()
+            cmd.expr = self.expression(rest, toks[0])
         elif kind == "alpha":
             cmd.alpha = self._alpha(rest, toks[0])
         elif rest:
@@ -232,46 +223,36 @@ class _Parser:
         self.command = cmd
 
     def _alpha(self, toks: list[Token], at: Token) -> tuple:
-        ring = self._ensure_ring(at)
+        # the ring is in place: a command statement ensures it, a seeded
+        # parser starts with it
         if (not toks or toks[0].kind != "sym" or toks[0].value != "("
                 or toks[-1].kind != "sym" or toks[-1].value != ")"):
             raise ParseError("expected an exponent tuple like (1,1)", at.line, at.col)
-        body = toks[1:-1]
+        # the body alternates integer, ',', integer, ...
         entries = []
-        expect_nat = True
-        for t in body:
-            if expect_nat:
-                if t.kind != "nat":
-                    raise ParseError("expected a nonnegative integer", t.line, t.col)
-                entries.append(int(t.value))
-            else:
+        for k, t in enumerate(toks[1:-1]):
+            if k % 2:
                 if t.kind != "sym" or t.value != ",":
                     raise ParseError("expected ','", t.line, t.col)
-            expect_nat = not expect_nat
-        if expect_nat or len(entries) != ring.n:
-            raise ParseError(f"expected {ring.n} exponent entries", at.line, at.col)
+            elif t.kind != "nat":
+                raise ParseError("expected a nonnegative integer", t.line, t.col)
+            else:
+                entries.append(int(t.value))
+        if len(toks) % 2 == 0 or len(entries) != self.ring.n:
+            raise ParseError(f"expected {self.ring.n} exponent entries", at.line, at.col)
         return tuple(entries)
 
-    def lookup(self, tok: Token) -> DiffOp:
-        ring = self._ensure_ring(tok)
-        name = tok.value
-        if name in ring.names:
-            return ring.embed(ring.x(ring.names.index(name)))
-        if name in ring.dnames:
-            return ring.d(ring.dnames.index(name))
-        if name in self.operators:
-            return self.operators[name]
-        raise ParseError(f"undeclared name {name!r}", tok.line, tok.col)
+    # -- expressions: the ring is in place before any is read ---------------
 
-
-class _ExprParser:
-    """Recursive descent over one token list; every value is an operator."""
-
-    def __init__(self, env: _Parser, toks: list[Token], at: Token):
-        self.env = env
-        self.toks = toks
-        self.pos = 0
-        self.at = at  # anchor for end-of-input errors
+    def expression(self, toks: list[Token], at: Token) -> DiffOp:
+        """The operator that the whole of toks denotes; at anchors errors
+        at the end of the input."""
+        self.toks, self.pos, self.at = toks, 0, at
+        value = self._sum()
+        t = self._peek()
+        if t is not None:
+            raise ParseError(f"unexpected {t.value!r}", t.line, t.col)
+        return value
 
     def _peek(self) -> Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -285,44 +266,37 @@ class _ExprParser:
         self.pos += 1
         return t
 
-    def parse_all(self) -> DiffOp:
-        value = self.parse_expr()
-        t = self._peek()
-        if t is not None:
-            raise ParseError(f"unexpected {t.value!r}", t.line, t.col)
-        return value
-
-    def parse_expr(self) -> DiffOp:
-        value = self.parse_term()
+    def _sum(self) -> DiffOp:
+        value = self._product()
         while True:
             t = self._peek()
             if t is not None and t.kind == "sym" and t.value in "+-":
                 self.pos += 1
-                rhs = self.parse_term()
+                rhs = self._product()
                 value = value + rhs if t.value == "+" else value - rhs
             else:
                 return value
 
-    def parse_term(self) -> DiffOp:
-        value = self.parse_unary()
+    def _product(self) -> DiffOp:
+        value = self._unary()
         while True:
             t = self._peek()
             if t is not None and t.kind == "sym" and t.value == "*":
                 self.pos += 1
-                value = value * self.parse_unary()
+                value = value * self._unary()
             else:
                 return value
 
-    def parse_unary(self) -> DiffOp:
+    def _unary(self) -> DiffOp:
         t = self._peek()
         if t is not None and t.kind == "sym" and t.value in "+-":
             self.pos += 1
-            value = self.parse_unary()
+            value = self._unary()
             return value if t.value == "+" else -value
-        return self.parse_power()
+        return self._power()
 
-    def parse_power(self) -> DiffOp:
-        value = self.parse_atom()
+    def _power(self) -> DiffOp:
+        value = self._atom()
         while True:
             t = self._peek()
             if t is None or t.kind != "sym" or t.value != "^":
@@ -342,9 +316,9 @@ class _ExprParser:
             self.pos += 1
             value = value ** int(e.value)
 
-    def parse_atom(self) -> DiffOp:
+    def _atom(self) -> DiffOp:
         t = self._next()
-        ring = self.env._ensure_ring(t)
+        ring = self.ring
         if t.kind == "nat":
             return ring.embed(int(t.value))
         if t.kind == "rat":
@@ -354,9 +328,16 @@ class _ExprParser:
                                  t.line, t.col)
             return ring.embed(Fraction(int(num), int(den)))
         if t.kind == "ident":
-            return self.env.lookup(t)
+            name = t.value
+            if name in ring.names:
+                return ring.embed(ring.x(ring.names.index(name)))
+            if name in ring.dnames:
+                return ring.d(ring.dnames.index(name))
+            if name in self.operators:
+                return self.operators[name]
+            raise ParseError(f"undeclared name {name!r}", t.line, t.col)
         if t.kind == "sym" and t.value == "(":
-            value = self.parse_expr()
+            value = self._sum()
             self._next(")")
             return value
         raise ParseError(f"unexpected {t.value!r}", t.line, t.col)
@@ -376,16 +357,19 @@ def parse_problem(text: str) -> ProblemFile:
 
 def parse_expression(text: str, problem: ProblemFile) -> DiffOp:
     """Parse one operator expression in the context of a parsed problem."""
-    parser = _Parser()
-    parser.xnames = problem.ring.names
-    parser.dnames = problem.ring.dnames
-    parser.ring = problem.ring
-    parser.operators = problem.operators
     statements = _tokenize(text)
     if len(statements) != 1:
         raise ParseError("expected a single expression", 1, 1)
     toks = statements[0]
-    return _ExprParser(parser, toks, toks[0]).parse_all()
+    return _Parser(problem).expression(toks, toks[0])
+
+
+def parse_alpha(text: str, problem: ProblemFile) -> tuple:
+    """Parse an exponent tuple in the grammar of ``cone (1,0)`` for the
+    ring of a parsed problem; the parentheses are optional."""
+    statements = _tokenize(text if text.lstrip().startswith("(") else f"({text})")
+    toks = statements[0] if len(statements) == 1 else []
+    return _Parser(problem)._alpha(toks, Token("sym", text, 1, 1))
 
 
 def rebind_order(problem: ProblemFile, kind: str) -> ProblemFile:

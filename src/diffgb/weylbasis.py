@@ -13,6 +13,7 @@ x and d have coprime leads, yet d*x - x*d = 1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -240,26 +241,17 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     if not basis:
         raise ValueError("all generators are zero")
 
-    done = set()
-
-    def chain_skip(i, j, l):
-        # the lcm of i and j covered by a third lead whose pairs with i and j are
-        # both treated already: S(i,j) then reduces through those two.
-        # A skipped pair counts as treated; citations only ever point at
-        # pairs popped earlier, so no two pairs can excuse each other.
-        for k in range(len(leads)):
-            if k == i or k == j or not _w_divides(leads[k], l):
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a in done and b in done:
-                return True
-        return False
-
+    # partners[k]: the leads whose pair with k is treated already.  A pair
+    # is skipped when its lcm is covered by a third lead whose pairs with i
+    # and j are both treated: S(i,j) then reduces through those two.
+    # A skipped pair counts as treated; citations only ever point at
+    # pairs popped earlier, so no two pairs can excuse each other.
+    partners = defaultdict(set)
     for i, j, l in critical_pairs(leads, _w_lcm, worder.key):
-        done.add((i, j))
+        partners[i].add(j)
+        partners[j].add(i)
         stats["s_pairs"] += 1
-        if chain_skip(i, j, l):
+        if any(_w_divides(leads[k], l) for k in partners[i] & partners[j]):
             continue
         s = s_operator_weyl(basis[i], basis[j], worder)
         if s.is_zero():

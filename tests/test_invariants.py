@@ -21,6 +21,22 @@ def test_library_has_no_assert_statements():
     assert not found, "bare assert statements: " + ", ".join(found)
 
 
+def test_problem_text_is_read_through_public_names():
+    # problems.py is the one reader of problem text: other modules call
+    # parse_problem, parse_expression and parse_alpha, never its internals
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module, node.level) in (("problems", 1), ("diffgb.problems", 0))
+                  for alias in node.names if alias.name.startswith("_")]
+    assert not found, "private names imported from problems: " + ", ".join(found)
+
+
 # membership that claims success but cancels nothing: reduce then makes
 # no progress, and only its strict-descent check stops the loop
 STALLED_REDUCE = """

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diffgb import ParseError, parse_expression, parse_problem, rebind_order
-from diffgb.problems import COMMANDS, MAX_EXPONENT, _tokenize
+from diffgb.problems import COMMANDS, MAX_EXPONENT, _tokenize, parse_alpha
 from helpers import example6_ops, rand_op, ring2
 
 EX6 = """\
@@ -223,6 +223,12 @@ def test_tokenizer_tracks_positions():
     assert stmts[0][0].line == 1 and stmts[0][0].col == 1
     assert stmts[1][0].line == 2 and stmts[1][0].col == 3
     assert [t.value for t in stmts[1]] == ["P", "=", "x1"]
+    # the position of a bad character counts a comment's line, the ';'
+    # and the tab as plain characters
+    with pytest.raises(ParseError) as err:
+        _tokenize("ring x1 # note ; here\ndvars d1\nP = x1;\tQ = $ 1")
+    assert positions(err) == (3, 13)
+    assert err.value.message == "unexpected character '$'"
 
 
 def test_round_trip_display_form():
@@ -246,3 +252,51 @@ def test_every_command_parses_with_its_argument():
         wrong = "" if kind else " (1,0)"
         with pytest.raises(ParseError):
             parse_problem(EX6.replace("delta-gb", name + wrong))
+
+
+def test_parse_alpha_parentheses_optional():
+    pf = parse_problem(EX6)
+    for text in ("1,0", "(1,0)", " ( 1 , 0 ) ", "1 ,0"):
+        assert parse_alpha(text, pf) == (1, 0)
+    for text, message in [("1,0,0", "expected 2 exponent entries"),
+                          ("(1,0,)", "expected 2 exponent entries"),
+                          ("1,x1", "expected a nonnegative integer"),
+                          ("1 0", "expected ','"),
+                          ("((1,0))", "expected a nonnegative integer"),
+                          ("1;0", "expected an exponent tuple like (1,1)")]:
+        with pytest.raises(ParseError) as err:
+            parse_alpha(text, pf)
+        assert err.value.message == message, text
+
+
+def test_alpha_readers_agree():
+    # parse_alpha reads a tuple exactly as the statement 'cone (t)' does;
+    # a text that already opens with '(' is read as it stands
+    pf = parse_problem(EX6)
+    rng = random.Random(94)
+    pieces = ["0", "1", "2", "10", ",", ",", " ", "(", ")", "_", "+", ";"]
+
+    def noise(k):
+        return "".join(rng.choice(pieces) for _ in range(rng.randint(0, k)))
+
+    read = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            text = noise(7)
+        else:
+            # a well-formed tuple, perhaps broken inside, between noise
+            t = rng.choice(["1,0", "(0,2)", " ( 10 , 1 ) ", "2 , 2"])
+            k = rng.randint(0, len(t))
+            text = noise(2) + t[:k] + noise(1) + t[k:] + noise(2)
+        statement = "cone " + (text if text.lstrip().startswith("(") else f"({text})")
+        try:
+            want = parse_problem(EX6.replace("delta-gb", statement)).command.alpha
+        except ParseError:
+            want = None
+        try:
+            got = parse_alpha(text, pf)
+        except ParseError:
+            got = None
+        assert got == want, repr(text)
+        read += want is not None
+    assert read >= 150
