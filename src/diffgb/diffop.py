@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .orders import ExpVec, MonomialOrder, add_exp
-from .poly import Poly, content
+from .poly import Poly, primitive_scale
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,6 @@ class RingSpec:
 
     def embed(self, p) -> "DiffOp":
         """H (or Q) embedded as order-zero operators."""
-        if isinstance(p, (int, Fraction)):
-            p = Poly.constant(self.nvars, p)
         return DiffOp(self, {(0,) * self.n: p})
 
     def diff(self, f: Poly, i: int) -> Poly:
@@ -174,8 +172,9 @@ class DiffOp:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        other = _as_op(self.ring, other, strict=False)
-        if other is None:
+        if isinstance(other, (int, Fraction, Poly)):
+            other = self.ring.embed(other)
+        if not isinstance(other, DiffOp):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
@@ -287,10 +286,8 @@ class DiffOp:
         content 1 and positive leading sign of the leading coefficient."""
         if not self.terms:
             return self
-        out = (1 / content(self.terms.values())) * self
-        if out.c_delta().lc(self.ring.x_order()) < 0:
-            out = -out
-        return out
+        lead = self.c_delta().lc(self.ring.x_order())
+        return primitive_scale(self.terms.values(), lead) * self
 
     # -- printing ----------------------------------------------------------
 
@@ -318,14 +315,12 @@ class DiffOp:
         return f"DiffOp('{self.to_str()}')"
 
 
-def _as_op(ring: RingSpec, value, strict: bool = True):
+def _as_op(ring: RingSpec, value):
     """Coerce scalars and H-elements into D; reject foreign rings."""
     if isinstance(value, DiffOp):
         if value.ring != ring:
-            if strict:
-                raise ValueError("operator ring mismatch")
-            return None
+            raise ValueError("operator ring mismatch")
         return value
     if isinstance(value, (int, Fraction, Poly)):
         return ring.embed(value)
-    return NotImplemented if strict else None
+    return NotImplemented

@@ -101,8 +101,8 @@ def finiteness_test(b: DeltaBasis) -> FinitenessReport:
     return FinitenessReport(all(w.unit for w in witnesses), witnesses)
 
 
-def _lift(p: Poly, extra: int = 1) -> Poly:
-    return Poly(p.nvars + extra, {e + (0,) * extra: c for e, c in p.terms.items()})
+def _lift(p: Poly) -> Poly:
+    return Poly(p.nvars + 1, {e + (0,): c for e, c in p.terms.items()})
 
 
 def unit_after_inverting(ideal: PolyIdeal, s: Poly) -> bool:

@@ -14,7 +14,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices, sub_exp
-from .poly import Poly, _common_den, _lowest, content
+from .poly import Poly, _common_den, _lowest, primitive_scale
 
 
 def divide(f: Poly, gens, order: MonomialOrder):
@@ -158,9 +158,6 @@ def _tracked_groebner(gens, order: MonomialOrder):
             if leads[-1] == unit:
                 break
 
-    if not basis:
-        return [], []
-
     # minimal base: drop anything whose lead is divisible by another lead
     keep = minimal_indices(leads, order.key)
 
@@ -189,16 +186,11 @@ def buchberger(gens, order: MonomialOrder) -> list[Poly]:
 def _normalize_vector(vec, order: MonomialOrder):
     """Integer-primitive scaling; sign fixed so the last nonzero entry
     has negative leading coefficient.  Returns None for zero vectors."""
-    if not any(vec):
+    last = next((p for p in reversed(vec) if p), None)
+    if last is None:
         return None
-    scale = 1 / content(vec)
-    vec = [p * scale for p in vec]
-    for p in reversed(vec):
-        if p:
-            if p._nums[p.lm(order)] > 0:
-                vec = [-q for q in vec]
-            break
-    return tuple(vec)
+    scale = primitive_scale(vec, -last._nums[last.lm(order)])
+    return tuple(p * scale for p in vec)
 
 
 def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
@@ -235,13 +227,9 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
             l = lcm_exp(ei, ej)
             mi = Poly._make(nv, {sub_exp(l, ei): 1})
             mj = Poly._make(nv, {sub_exp(l, ej): 1})
-            s = mi * G[i] - mj * G[j]
-            if s:
-                q, rem = divide(s, G, order)
-                if rem:
-                    raise AssertionError("an S-polynomial of the base leaves a remainder")
-            else:
-                q = [Poly.zero(nv)] * t
+            q, rem = divide(mi * G[i] - mj * G[j], G, order)
+            if rem:
+                raise AssertionError("an S-polynomial of the base leaves a remainder")
             vg = [-qq for qq in q]
             vg[i] = vg[i] + mi
             vg[j] = vg[j] - mj
@@ -296,25 +284,14 @@ class PolyIdeal:
     def member_with_cofactors(self, f: Poly):
         """Cofactors of f over the original generators, or None if f is
         not in the ideal.  f = sum cof_k * generators[k] exactly."""
-        r = len(self.generators)
-        nv = f.nvars
-        if f.is_zero():
-            return [Poly.zero(nv) for _ in range(r)]
         g, a = self._ensure()
-        if not g:
-            return None
         q, rem = divide(f, g, self.order)
         if rem:
             return None
-        return _combine(q, a, r, nv)
+        return _combine(q, a, len(self.generators), f.nvars)
 
     def contains(self, f: Poly) -> bool:
-        if f.is_zero():
-            return True
-        g = self.groebner
-        if not g:
-            return False
-        return divide(f, g, self.order)[1].is_zero()
+        return divide(f, self.groebner, self.order)[1].is_zero()
 
     def is_zero(self) -> bool:
         # the ideal is zero iff every generator is: no base needed

@@ -29,24 +29,22 @@ input from users goes through ``Poly(...)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 from operator import add
 from types import MappingProxyType
 
 from .orders import ExpVec, MonomialOrder, total_degree
 
-_DISPLAY_ORDERS: dict[int, MonomialOrder] = {}
 
-
+@cache
 def display_order(nvars: int) -> MonomialOrder:
     """Order used only for printing: graded, with later variables ranked first.
 
     This makes differences of neighbouring variables read in the usual
     ascending way, e.g. ``x2 - x1`` and ``x1*x2 - x1^2``.
     """
-    if nvars not in _DISPLAY_ORDERS:
-        _DISPLAY_ORDERS[nvars] = MonomialOrder("deglex", tuple(range(nvars - 1, -1, -1)))
-    return _DISPLAY_ORDERS[nvars]
+    return MonomialOrder("deglex", tuple(range(nvars - 1, -1, -1)))
 
 
 def content(polys) -> Fraction:
@@ -63,6 +61,13 @@ def content(polys) -> Fraction:
     if not nums:
         return Fraction(1)
     return Fraction(gcd(*nums), lcm(*dens))
+
+
+def primitive_scale(polys, sign) -> Fraction:
+    """+-1/content(polys): the scale that makes ``polys`` integer-primitive
+    and ``sign``, the one coefficient of theirs a caller names, positive."""
+    g = content(polys)
+    return 1 / g if sign > 0 else -1 / g
 
 
 def _common_den(data: dict) -> tuple[dict, int]:
@@ -315,10 +320,7 @@ class Poly:
         return self.leading(order)[1]
 
     def monic(self, order: MonomialOrder) -> "Poly":
-        c = self._nums[self.lm(order)]
-        if c == self._den:
-            return self
-        return self * Fraction(self._den, c)
+        return self * Fraction(self._den, self._nums[self.lm(order)])
 
     def content(self) -> Fraction:
         """Positive rational g with self/g integer-primitive; 1 for zero."""
@@ -328,23 +330,18 @@ class Poly:
         """Integer coefficients, content 1, positive leading coefficient."""
         if not self._nums:
             return self
-        p = self * (Fraction(1) / self.content())
-        if p._nums[p.lm(order)] < 0:
-            p = -p
-        return p
+        return self * primitive_scale((self,), self._nums[self.lm(order)])
 
     # -- printing ------------------------------------------------------
 
-    def to_str(self, names=None, order: MonomialOrder | None = None) -> str:
+    def to_str(self, names=None) -> str:
         terms = self.terms
         if not terms:
             return "0"
         if names is None:
             names = tuple(f"x{i + 1}" for i in range(self.nvars))
-        if order is None:
-            order = display_order(self.nvars)
         parts = []
-        for e in sorted(terms, key=order.key, reverse=True):
+        for e in sorted(terms, key=display_order(self.nvars).key, reverse=True):
             c = terms[e]
             mono = "*".join(
                 n + (f"^{k}" if k > 1 else "") for n, k in zip(names, e) if k

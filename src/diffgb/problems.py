@@ -10,9 +10,10 @@ A problem is a sequence of statements separated by newlines or ';'.
     P2 = (x2 - x1)*d2 - 1
     delta-gb            # optional command payload
 
-Expressions use + - * ^ ( ), integer and p/q literals; '*' is required
-between factors and '^' takes a nonnegative integer of at most
-MAX_EXPONENT.  Everything is normalized through the operator product
+Expressions use + - * ^ ( ), integer and p/q literals of at most 4300
+digits each; '*' is required between factors and '^' takes a
+nonnegative integer of at most MAX_EXPONENT and may expand to at most
+MAX_TERMS terms.  Everything is normalized through the operator product
 while parsing, so definitions like ``d1*x1`` come out in normal form
 immediately.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .diffop import DiffOp, RingSpec
@@ -39,6 +41,10 @@ COMMANDS = {
 # largest exponent '^' accepts: a power is expanded by repeated
 # multiplication, so an unbounded one could stall the parser
 MAX_EXPONENT = 1000
+# largest size '^' may expand to, checked before expanding: b^k has at
+# most C(k*D + v, v) terms if b has total degree D (x and d together) in
+# v distinct variables, as Leibniz terms only lower the degree
+MAX_TERMS = 10000
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -84,7 +90,12 @@ def _tokenize(text: str) -> list[list[Token]]:
             if value == "\n":
                 line, start = line + 1, m.end()
         elif kind not in ("ws", "comment"):
-            statements[-1].append(Token(kind, value, line, m.start() - start + 1))
+            col = m.start() - start + 1
+            # Python's int() refuses longer strings, and reading one is slow
+            if kind in ("nat", "rat") and max(map(len, value.split("/"))) > 4300:
+                raise ParseError("integer literal exceeds the limit of 4300 digits",
+                                 line, col)
+            statements[-1].append(Token(kind, value, line, col))
     return [s for s in statements if s]
 
 
@@ -307,14 +318,17 @@ class _Parser:
                 bad = e if e is not None else t
                 raise ParseError("'^' needs a nonnegative integer exponent",
                                  bad.line, bad.col)
-            # compare the digit count first: int() of a huge literal is
-            # itself slow and, past 4300 digits, refused by Python
-            digits = e.value.lstrip("0")
-            if len(digits) > len(str(MAX_EXPONENT)) or int(e.value) > MAX_EXPONENT:
+            k = int(e.value)
+            if k > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}",
                                  e.line, e.col)
+            exps = [x + d for d, p in value.terms.items() for x in p.terms]
+            v = sum(map(any, zip(*exps)))
+            if comb(k * max(map(sum, exps), default=0) + v, v) > MAX_TERMS:
+                raise ParseError(f"power may exceed the limit of {MAX_TERMS} terms",
+                                 e.line, e.col)
             self.pos += 1
-            value = value ** int(e.value)
+            value = value ** k
 
     def _atom(self) -> DiffOp:
         t = self._next()
@@ -367,8 +381,13 @@ def parse_expression(text: str, problem: ProblemFile) -> DiffOp:
 def parse_alpha(text: str, problem: ProblemFile) -> tuple:
     """Parse an exponent tuple in the grammar of ``cone (1,0)`` for the
     ring of a parsed problem; the parentheses are optional."""
-    statements = _tokenize(text if text.lstrip().startswith("(") else f"({text})")
+    statements = _tokenize(text)
     toks = statements[0] if len(statements) == 1 else []
+    if not text.lstrip().startswith("("):
+        # read as '(text)' at the text's own positions; a separator or a
+        # comment would split off the '(' or swallow the ')': no tuple then
+        toks = [] if re.search("[\n;#]", text) else [
+            Token("sym", "(", 1, 1), *toks, Token("sym", ")", 1, 1)]
     return _Parser(problem)._alpha(toks, Token("sym", text, 1, 1))
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, critical_pairs, lcm_exp, minimal_indices, sub_exp
-from .poly import Poly, _common_den, _lowest, content
+from .poly import Poly, _common_den, _lowest, primitive_scale
 
 
 class WeylExp(NamedTuple):
@@ -72,8 +72,7 @@ def exp_full(p: DiffOp, worder: WeylOrder) -> WeylExp:
     _require_weyl(p)
     if p.is_zero():
         raise ValueError("the zero operator has no leading exponent")
-    beta = worder.order_d.max(p.terms)
-    return WeylExp(p.terms[beta].lm(worder.order_x), beta)
+    return _lead_full(p, worder)[0]
 
 
 def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
@@ -178,12 +177,7 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
 
 def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
-    if p.is_zero():
-        return p
-    out = (1 / content(p.terms.values())) * p
-    if _lead_full(out, worder)[1] < 0:
-        out = -out
-    return out
+    return primitive_scale(p.terms.values(), _lead_full(p, worder)[1]) * p
 
 
 def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
@@ -292,8 +286,6 @@ def is_gb(gens, worder: WeylOrder) -> bool:
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             s = s_operator_weyl(gens[i], gens[j], worder)
-            if s.is_zero():
-                continue
             if not divide_weyl(s, gens, worder)[1].is_zero():
                 return False
     return True

@@ -230,21 +230,42 @@ def _monomials_up_to(nvars, bound):
     return out
 
 
+def _echelon_reduce(vec, basis):
+    """Reduce the sparse vector ``vec`` (exponent -> nonzero Fraction, in
+    place) against ``basis`` (pivot -> vector with entry 1 at its pivot,
+    the pivot being its largest exponent) until its largest exponent is
+    no pivot.  Vectors with distinct largest exponents are independent,
+    so ``vec`` lies in the span exactly when it reduces to empty."""
+    while vec:
+        lead = max(vec)
+        row = basis.get(lead)
+        if row is None:
+            return vec
+        c = vec[lead]
+        for e, a in row.items():
+            v = vec.get(e, 0) - c * a
+            if v:
+                vec[e] = v
+            else:
+                del vec[e]
+    return vec
+
+
 def linear_membership(f, gens, bound):
     """Is f a combination sum q_i g_i with deg q_i g_i <= bound?
 
     Solved as an exact linear system over the monomial basis, no
-    Groebner machinery involved.  A True answer proves membership; a
-    False answer only rules out cofactors up to the bound.
+    Groebner machinery involved: every column m*g_i with deg m*g_i <=
+    bound is reduced into an echelon basis of sparse vectors, then f is
+    reduced against it.  A True answer proves membership; a False answer
+    only rules out cofactors up to the bound.
     """
     nvars = f.nvars
     if f.is_zero():
         return True
     if f.degree() > bound:
         return False
-    rows = _monomials_up_to(nvars, bound)
-    row_index = {e: i for i, e in enumerate(rows)}
-    columns = []
+    basis = {}
     for g in gens:
         if g.is_zero():
             continue
@@ -252,39 +273,12 @@ def linear_membership(f, gens, bound):
         if room < 0:
             continue
         for e in _monomials_up_to(nvars, room):
-            prod = Poly.monomial(nvars, e, Fraction(1)) * g
-            col = [Fraction(0)] * len(rows)
-            for ee, c in prod.terms.items():
-                col[row_index[ee]] = c
-            columns.append(col)
-    if not columns:
-        return False
-    target = [Fraction(0)] * len(rows)
-    for e, c in f.terms.items():
-        target[row_index[e]] = c
-    # gaussian elimination on the augmented system, column vectors
-    m = [[columns[j][i] for j in range(len(columns))] + [target[i]]
-         for i in range(len(rows))]
-    nrows, ncols = len(m), len(columns)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    for i in range(nrows):
-        if all(v == 0 for v in m[i][:-1]) and m[i][-1] != 0:
-            return False
-    return True
+            col = _echelon_reduce(dict((Poly.monomial(nvars, e) * g).terms), basis)
+            if col:
+                lead = max(col)
+                inv = 1 / col[lead]
+                basis[lead] = {ee: c * inv for ee, c in col.items()}
+    return not _echelon_reduce(dict(f.terms), basis)
 
 
 # -- one-step operator product oracle ----------------------------------------

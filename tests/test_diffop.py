@@ -200,6 +200,18 @@ def test_ring_mismatch_rejected():
         a.d(0) * b.d(0)
 
 
+def test_equality_with_other_values():
+    a = ring2()
+    assert a.embed(1) == 1 and a.embed(Fraction(1, 2)) == Fraction(1, 2)
+    assert a.embed(a.x(0)) == a.x(0)
+    assert a.d(0) != 1 and a.d(0) != a.x(0)
+    # an operator of another ring is unequal, not an error
+    b = RingSpec(2, 1)
+    assert a.d(0) != b.d(0) and not (a.d(0) == b.d(0))
+    assert a.d(0).__eq__("d1") is NotImplemented
+    assert a.d(0) != "d1"
+
+
 def test_ring_spec_validation():
     with pytest.raises(ValueError):
         RingSpec(0)

@@ -155,6 +155,25 @@ def test_membership_agrees_with_naive_remainder():
         assert ideal.contains(f) == naive_divide(f, nb, o).is_zero()
 
 
+def test_membership_of_zero_and_in_the_zero_ideal():
+    # no special case answers these: dividing by an empty base leaves f
+    # as the remainder, and zero quotients combine to the zero row
+    o = deglex()
+    zero = Poly.zero(2)
+    for gens in [(), (zero, zero), (X1 * X2 - 1, X2 + 1)]:
+        ideal = PolyIdeal(gens, o)
+        assert ideal.member_with_cofactors(zero) == [zero] * len(gens)
+        assert ideal.contains(zero)
+    for gens in [(), (zero, zero)]:
+        ideal = PolyIdeal(gens, o)
+        assert ideal.member_with_cofactors(ONE) is None
+        assert not ideal.contains(ONE)
+
+
+def test_tracked_groebner_of_zero_generators_is_empty():
+    assert _tracked_groebner([Poly.zero(2)] * 3, deglex()) == ([], [])
+
+
 def test_ideal_predicates():
     o = deglex()
     assert PolyIdeal((X1 * X2 - 1, X1 * X1), o).is_unit()
@@ -173,6 +192,7 @@ def test_syzygy_running_pair():
 
 
 def test_syzygy_coprime_pair():
+    # the S-polynomial x2*x1 - x1*x2 is zero; its Schreyer row remains
     rows = syzygies([X1, X2], deglex())
     assert rows == [(X2, -X1)]
 

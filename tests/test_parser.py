@@ -1,11 +1,12 @@
 """Problem files and expression parsing."""
 
 import random
+import time
 
 import pytest
 
 from diffgb import ParseError, parse_expression, parse_problem, rebind_order
-from diffgb.problems import COMMANDS, MAX_EXPONENT, _tokenize, parse_alpha
+from diffgb.problems import COMMANDS, MAX_EXPONENT, MAX_TERMS, _tokenize, parse_alpha
 from helpers import example6_ops, rand_op, ring2
 
 EX6 = """\
@@ -159,6 +160,41 @@ def test_exponent_limit():
         assert "limit" in err.value.message
 
 
+def test_integer_literal_limit():
+    big = "7" * 5000
+    for stmt, col in [(f"P = {big}", 5), (f"P = 1/{big}", 5), (f"P = {big}/7", 5),
+                      (f"cone ({big},0)", 7)]:
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"ring x1 x2\ndvars d1 d2\n{stmt}\n")
+        assert err.value.message == "integer literal exceeds the limit of 4300 digits"
+        assert (err.value.line, err.value.col) == (3, col)
+    with pytest.raises(ParseError) as err:
+        parse_alpha(f"{big},0", parse_problem(EX6))
+    assert "4300 digits" in err.value.message and err.value.col == 1
+    # at the limit both halves still parse
+    pf = parse_problem(f"ring x1\ndvars d1\nP = {'7' * 4300}/{'7' * 4300}\n")
+    assert pf.operators["P"] == pf.ring.embed(1)
+
+
+def test_power_size_limit():
+    # (x1+x2+d1+d2+1)^40 has C(44, 4) = 135751 terms: refused before
+    # expanding, which takes seconds
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem("ring x1 x2\ndvars d1 d2\nP = (x1 + x2 + d1 + d2 + 1)^40\n")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (3, 29)
+    assert err.value.message == f"power may exceed the limit of {MAX_TERMS} terms"
+    # the bound C(k*D + v, v) at its edge: C(141, 2) = 9870, C(142, 2) = 10011
+    assert MAX_TERMS == 10000
+    pf = parse_problem("ring x1 x2\ndvars d1\nP = (x1 + x2)^139\n")
+    assert pf.operators["P"].c_delta().degree() == 139
+    with pytest.raises(ParseError):
+        parse_problem("ring x1 x2\ndvars d1\nP = (x1 + x2)^140\n")
+    with pytest.raises(ParseError):
+        parse_problem("ring x1 x2\ndvars d1\nP = (x1 + d1)^140\n")
+
+
 def test_error_division_by_zero_literal():
     with pytest.raises(ParseError) as err:
         parse_problem("ring x1\ndvars d1\nP = 1/0\n")
@@ -267,6 +303,14 @@ def test_parse_alpha_parentheses_optional():
         with pytest.raises(ParseError) as err:
             parse_alpha(text, pf)
         assert err.value.message == message, text
+
+
+def test_parse_alpha_columns_are_those_of_the_text():
+    pf = parse_problem(EX6)
+    for text, col in [("1,x1", 3), ("1,,0", 3), (" 1,$", 4), ("(1,x1)", 4), ("(1,,0)", 4)]:
+        with pytest.raises(ParseError) as err:
+            parse_alpha(text, pf)
+        assert (err.value.line, err.value.col) == (1, col), text
 
 
 def test_alpha_readers_agree():

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from diffgb import Poly, RingSpec
+from diffgb import DiffOp, MonomialOrder, Poly, RingSpec, WeylOrder
 from diffgb.orders import deglex, lex
-from helpers import assert_canonical_poly, rand_point, rand_poly, rand_qpoly
+from diffgb.poly import primitive_scale
+from diffgb.weylbasis import _lead_full
+from helpers import (assert_canonical_poly, integer_primitive, rand_op, rand_point,
+                     rand_poly, rand_qpoly, ring2)
 
 
 def P(nvars, items):
@@ -132,6 +135,33 @@ def test_content_and_primitive():
     assert prim == P(2, [((1, 0), 2), ((0, 1), -1)])
     assert (-p).primitive(o) == prim
     assert Poly.zero(2).primitive(o).is_zero()
+
+
+def test_primitive_scale_under_each_sign_rule_fuzz():
+    # the rule each caller applies: a polynomial's lead positive, a
+    # syzygy row's last nonzero lead negative, an operator's lead
+    # coefficient's lead positive, a Weyl operator's lead positive
+    rng = random.Random(71)
+    o = deglex()
+    ring = ring2(m=1)
+    worder = WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex"))
+    for _ in range(150):
+        p = rand_qpoly(rng, 3)
+        vec = [rand_qpoly(rng, 3) * rng.randint(0, 1) for _ in range(3)]
+        vec.insert(rng.randint(0, 3), p)
+        last = [q for q in vec if q][-1]
+        op = rand_op(rng, ring) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        wop = rand_op(rng, ring2()) * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        cases = [([p], p.lc(o), lambda q: q[0].lc(o)),
+                 (vec, -last.lc(o), lambda q: -[x for x in q if x][-1].lc(o)),
+                 (list(op.terms.values()), op.c_delta().lc(ring.x_order()),
+                  lambda q: DiffOp(ring, zip(op.terms, q)).c_delta().lc(ring.x_order())),
+                 (list(wop.terms.values()), _lead_full(wop, worder)[1],
+                  lambda q: _lead_full(DiffOp(wop.ring, zip(wop.terms, q)), worder)[1])]
+        for polys, sign, chosen in cases:
+            scaled = [q * primitive_scale(polys, sign) for q in polys]
+            assert integer_primitive(c for q in scaled for c in q.terms.values())
+            assert chosen(scaled) > 0
 
 
 def test_degree_and_zero_conventions():
