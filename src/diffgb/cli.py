@@ -317,13 +317,23 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser; if argv names a subcommand first, only that
+    subparser is built, and usage lines still list every name."""
     parser = argparse.ArgumentParser(
         prog="diffgb",
         description="bases for left ideals of linear differential operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HELP:
+    if argv and argv[0] in _HELP:
+        names = argv[:1]
+        # the metavar only on this path: argparse also names the argument
+        # by it in the missing and invalid command errors of the full one
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_HELP) + "}")
+    else:
+        names = _HELP
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("file", help="problem file")
         p.add_argument("--order", choices=sorted(ORDER_KINDS),
@@ -346,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -13,9 +13,13 @@ A problem is a sequence of statements separated by newlines or ';'.
 Expressions use + - * ^ ( ), integer and p/q literals of at most 4300
 digits each; '*' is required between factors and '^' takes a
 nonnegative integer of at most MAX_EXPONENT and may expand to at most
-MAX_TERMS terms.  Everything is normalized through the operator product
-while parsing, so definitions like ``d1*x1`` come out in normal form
-immediately.
+MAX_TERMS terms.  A product ``a*b`` is refused at the '*' when it both
+may cost more than MAX_TERMS monomial products (term pairs, with the
+Leibniz terms each pair spills) and may expand to more than MAX_TERMS
+terms, so a product of many small terms and a product of two large
+monomials still parse.  Everything is normalized through the
+operator product while parsing, so definitions like ``d1*x1`` come out
+in normal form immediately.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ COMMANDS = {
 # largest exponent '^' accepts: a power is expanded by repeated
 # multiplication, so an unbounded one could stall the parser
 MAX_EXPONENT = 1000
-# largest size '^' may expand to, checked before expanding: b^k has at
-# most C(k*D + v, v) terms if b has total degree D (x and d together) in
-# v distinct variables, as Leibniz terms only lower the degree
+# largest size '^' and '*' may expand to, checked before expanding: b^k
+# has at most C(k*D + v, v) terms if b has total degree D (x and d
+# together) in v distinct variables, as Leibniz terms only lower the
+# degree; a*b has at most C(Da + Db + v, v) terms, and its cost is
+# bounded by _product_cost
 MAX_TERMS = 10000
 
 _TOKEN_RE = re.compile(
@@ -58,6 +64,30 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def _monomials(op: DiffOp) -> list[tuple]:
+    """The exponents of op's terms, x and d together."""
+    return [x + d for d, p in op.terms.items() for x in p._nums]
+
+
+def _product_cost(a: DiffOp, b: DiffOp) -> int:
+    """A bound on the monomial products a*b takes: |a|*|b| term pairs,
+    each spilling at most min(k, j) + 1 Leibniz terms per slot i, where
+    k is the highest power of d_i in a and j that of x_i in b."""
+    cost = (sum(len(p._nums) for p in a.terms.values())
+            * sum(len(p._nums) for p in b.terms.values()))
+    for i, k in enumerate(map(max, zip(*a.terms))):
+        if k and cost:
+            cost *= min(k, max(x[i] for p in b.terms.values() for x in p._nums)) + 1
+    return cost
+
+
+def _size_bound(exps: list[tuple], degree: int) -> int:
+    """C(degree + v, v): the number of monomials of total degree at most
+    degree in the v variables that occur in exps."""
+    v = sum(map(any, zip(*exps)))
+    return comb(degree + v, v)
 
 
 class ParseError(Exception):
@@ -294,7 +324,17 @@ class _Parser:
             t = self._peek()
             if t is not None and t.kind == "sym" and t.value == "*":
                 self.pos += 1
-                value = value * self._unary()
+                rhs = self._unary()
+                # the cost is cheap to count; the degree bound is read only
+                # for a costly product
+                if _product_cost(value, rhs) > MAX_TERMS:
+                    a, b = _monomials(value), _monomials(rhs)
+                    degree = max(map(sum, a)) + max(map(sum, b))
+                    if _size_bound(a + b, degree) > MAX_TERMS:
+                        raise ParseError(
+                            f"product may exceed the limit of {MAX_TERMS} terms",
+                            t.line, t.col)
+                value = value * rhs
             else:
                 return value
 
@@ -322,9 +362,8 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}",
                                  e.line, e.col)
-            exps = [x + d for d, p in value.terms.items() for x in p.terms]
-            v = sum(map(any, zip(*exps)))
-            if comb(k * max(map(sum, exps), default=0) + v, v) > MAX_TERMS:
+            exps = _monomials(value)
+            if _size_bound(exps, k * max(map(sum, exps), default=0)) > MAX_TERMS:
                 raise ParseError(f"power may exceed the limit of {MAX_TERMS} terms",
                                  e.line, e.col)
             self.pos += 1

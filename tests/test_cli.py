@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -384,3 +387,91 @@ def test_readme_subcommand_table_follows_the_parser():
              if line.startswith("| `")]
     assert sorted(names) == sorted(_subparsers())
     assert len(names) == len(set(names))
+
+
+# -- help and usage errors ---------------------------------------------------
+
+# case -> argument list; FILE is a valid problem file in the working
+# directory, so no temporary path reaches the output
+USAGE_CASES = {
+    "no arguments": [],
+    "help": ["-h"],
+    "unknown command": ["frobnicate", "FILE"],
+    **{f"{name} -h": [name, "-h"] for name in _HELP},
+    "missing file argument": ["delta-gb"],
+    "nonexistent file": ["delta-gb", "missing.dop"],
+    "missing expr": ["member", "FILE"],
+    "missing alpha": ["cone", "FILE"],
+    "bad order": ["stair", "FILE", "--order", "nope"],
+    "extra argument": ["gb", "FILE", "extra"],
+    "extra flag": ["member", "FILE", "d1", "--nope"],
+}
+USAGE_GOLDEN = Path(__file__).resolve().parent / "cli_usage_golden.json"
+
+
+def run_usage(tmp_path, monkeypatch, capsys, argv):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prob.dop").write_text(EX6)
+    rc = main(["prob.dop" if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    return {"code": rc, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("case", USAGE_CASES)
+def test_usage_golden(tmp_path, monkeypatch, capsys, case):
+    # help texts, usage errors and exit codes, byte for byte
+    want = json.loads(USAGE_GOLDEN.read_text())[case]
+    assert run_usage(tmp_path, monkeypatch, capsys, USAGE_CASES[case]) == want
+
+
+def test_usage_golden_covers_every_case():
+    assert sorted(json.loads(USAGE_GOLDEN.read_text())) == sorted(USAGE_CASES)
+
+
+def test_usage_of_the_module_entry_point(tmp_path, monkeypatch, capsys):
+    # python -m diffgb calls main() with no argument list: it parses sys.argv
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=path)
+    for argv in (["member", "-h"], ["gb", "FILE", "extra"]):
+        want = run_usage(tmp_path, monkeypatch, capsys, argv)
+        args = ["prob.dop" if a == "FILE" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "diffgb", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr} == want
+
+
+def test_narrowed_parser_agrees_with_the_full_one():
+    flags = ["--order", "lex", "--order-x", "degrevlex", "--json", "--cap", "8",
+             "--tail-reduce"]
+    for name in _HELP:
+        operand = {"expr": ["d1"], "alpha": ["--alpha", "1,0"]}.get(COMMANDS.get(name), [])
+        for argv in ([name, "FILE", *operand], [name, "FILE", *flags, *operand]):
+            assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_a_call_builds_only_the_subparser_it_names(tmp_path, capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    rc, out = run(tmp_path, EX6, ["stair", "FILE"], capsys)
+    assert rc == 0 and "stair:" in out
+    assert built == ["stair"]
+    # with no argument list main reads sys.argv, and narrows on it too
+    built.clear()
+    monkeypatch.setattr(sys, "argv", ["diffgb", "stair", write(tmp_path, EX6)])
+    assert main() == 0
+    capsys.readouterr()
+    assert built == ["stair"]
+    # no subcommand first: the full parser, for help and usage errors
+    built.clear()
+    assert main(["--json"]) == 2
+    capsys.readouterr()
+    assert built == list(_HELP)

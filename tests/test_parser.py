@@ -1,13 +1,16 @@
 """Problem files and expression parsing."""
 
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from diffgb import ParseError, parse_expression, parse_problem, rebind_order
 from diffgb.problems import COMMANDS, MAX_EXPONENT, MAX_TERMS, _tokenize, parse_alpha
 from helpers import example6_ops, rand_op, ring2
+from test_bench_hooks import load_workloads
 
 EX6 = """\
 # running example
@@ -193,6 +196,52 @@ def test_power_size_limit():
         parse_problem("ring x1 x2\ndvars d1\nP = (x1 + x2)^140\n")
     with pytest.raises(ParseError):
         parse_problem("ring x1 x2\ndvars d1\nP = (x1 + d1)^140\n")
+
+
+def test_product_size_limit():
+    # P1 has 1820 terms, its square is bounded by C(28, 4) = 20475 terms
+    # and costs 1820^2 term pairs: refused at the '*' before multiplying
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem("ring x1 x2\ndvars d1 d2\n"
+                      "P1 = (x1 + x2 + d1 + d2 + 1)^12; P2 = P1*P1\n")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (3, 41)
+    assert err.value.message == f"product may exceed the limit of {MAX_TERMS} terms"
+    # 100^2 term pairs, each spilling up to 100^2 Leibniz terms: refused
+    # before multiplying, which takes seconds
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_problem("ring x1 x2\ndvars d1 d2\nP = (d1 + d2)^99*(x1 + x2)^99\n")
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (3, 17)
+    # one term pair: a large degree bound alone refuses nothing
+    pf = parse_problem("ring x1\ndvars d1\nP = x1^1000*d1^1000\n")
+    assert pf.operators["P"].exp_delta() == (1000,)
+    # 231^2 term pairs, but at most C(42, 2) = 861 terms
+    pf = parse_problem("ring x1 x2\ndvars d1\nP = (x1 + x2 + 1)^20; Q = P*P\n")
+    assert pf.operators["Q"].c_delta().degree() == 40
+
+
+def test_size_limits_refuse_no_known_text():
+    # the README examples, both benchmark pools with the fixed examples,
+    # and the files the cli-batch workload writes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```text\n(.*?)```", readme, re.S)
+    declared = [b for b in blocks if re.search(r"^ring ", b, re.M)]
+    # the grammar section's definitions use the ring declared just before
+    defined = [b for b in blocks if re.search(r"^\w+ = ", b, re.M) and b not in declared]
+    texts = declared + [declared[-1] + b for b in defined]
+    texts.append(re.search(r'source = """(.*?)"""', readme, re.S).group(1))
+    assert len(texts) == 4
+    workloads = load_workloads()
+    corpus = workloads.corpus
+    pool = corpus.complete_pool()
+    texts += [corpus.problem_text(p, "delta-gb")
+              for p in pool + corpus.weyl_pool() + corpus.FIXED]
+    texts += [corpus.problem_text(workloads.syzygy_problem(p)) for p in pool]
+    for text in texts:
+        parse_problem(text)
 
 
 def test_error_division_by_zero_literal():
