@@ -9,6 +9,18 @@ more than leading exponents that multiply, so it holds in solvable
 algebras such as this one (Kandri-Rody & Weispfenning, JSC 9, 1990).
 The coprime-lead criterion needs commuting factors and is unsound here:
 x and d have coprime leads, yet d*x - x*d = 1.
+
+Every product the loop forms is a monomial x^a d^b times a base element
+g: one per division step, two per S-operator.  Coefficients sit to the
+left of the d's, so x^a * (d^b * g) is d^b * g with each x-exponent
+shifted by a, and only d^b * g needs the Leibniz rule.  Each
+``buchberger_weyl`` or ``is_gb`` call therefore keeps one memo
+(``_Divisors``) of d^b * g per (base index, b), in the fraction-free
+form its kernels subtract, and drops it when it returns.  Few d-shifts
+recur with many x-shifts, so most products are found there.  The delta
+reduction of ``deltabasis`` multiplies by d^b with a polynomial
+coefficient q, and q * (d^b * F) costs as much as the product itself,
+so the memo does not pay there.
 """
 
 from __future__ import annotations
@@ -17,12 +29,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
-from .orders import MonomialOrder, critical_pairs, lcm_exp, minimal_indices, sub_exp
+from .orders import MonomialOrder, critical_pairs, minimal_indices
 from .poly import Poly, _common_den, _lowest, primitive_scale
 
 
@@ -57,7 +69,8 @@ def _w_divides(a: WeylExp, b: WeylExp) -> bool:
 
 
 def _w_lcm(a: WeylExp, b: WeylExp) -> WeylExp:
-    return WeylExp(lcm_exp(a.x, b.x), lcm_exp(a.d, b.d))
+    # unchecked: both sides are leads of one ring
+    return WeylExp(tuple(map(max, a.x, b.x)), tuple(map(max, a.d, b.d)))
 
 
 def _require_weyl(p: DiffOp) -> None:
@@ -82,26 +95,84 @@ def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
     return WeylExp(e, beta), c
 
 
+class _Divisors:
+    """The divisors of one computation, their leading exponents, and a
+    memo of their d-shifted products: (k, b) -> d^b * ops[k].
+
+    ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
+    base, which only grows), and k indexes them; a division by a
+    sublist names each divisor's k through ``_ids``, never by its
+    position there.  An entry is (den, lc, terms):
+    den * d^b * ops[k] = sum over terms e -> (nums, scale) of
+    scale * nums[x] * x^x d^e, with lc the integer at the product's
+    leading monomial.
+    """
+
+    __slots__ = ("ops", "leads", "done")
+
+    def __init__(self, ops, leads):
+        self.ops = ops
+        self.leads = leads
+        self.done = {}
+
+    def shifted(self, k: int, b: tuple):
+        entry = self.done.get((k, b))
+        if entry is None:
+            g, lead = self.ops[k], self.leads[k]
+            if any(b):
+                g = DiffOp._make(g.ring, {b: Poly.one(g.ring.nvars)}) * g
+            den = lcm(*(pl._den for pl in g.terms.values()))
+            terms = {e: (pl._nums, den // pl._den) for e, pl in g.terms.items()}
+            nums, scale = terms[tuple(map(add, b, lead.d))]
+            entry = den, nums[lead.x] * scale, terms
+            self.done[(k, b)] = entry
+        return entry
+
+
+def _subtract(work: dict, m: int, terms: dict, xshift: tuple) -> None:
+    """work -= m * x^xshift * terms, both in the form of ``_Divisors``
+    entries (d-exponent -> x-exponent -> integer), cancelled entries
+    and emptied rows dropped."""
+    moved = any(xshift)
+    for b, (nums, scale) in terms.items():
+        row = work.setdefault(b, {})
+        f = m * scale
+        for x, n in nums.items():
+            if moved:
+                x = tuple(map(add, x, xshift))
+            nc = row.get(x, 0) - f * n
+            if nc:
+                row[x] = nc
+            else:
+                del row[x]
+        if not row:
+            del work[b]
+
+
 def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
-                _heads=None):
+                _base: _Divisors | None = None, _ids=None):
     """Full division in the Weyl algebra.
 
     Returns (cofactors, remainder) with p = sum q_i*gens_i + r, no
     monomial of r divisible by any leading exponent of gens, and
-    exp_full of every q_i*gens_i bounded by exp_full(p).  ``_heads`` is
-    the list of those leading exponents when the caller already holds
-    it (``buchberger_weyl``'s leads), one per divisor in the same order.
+    exp_full of every q_i*gens_i bounded by exp_full(p).
+
+    ``_base`` is a caller's ``_Divisors`` holding ``gens``, at the
+    indices ``_ids`` (their positions when not given).  Its callers
+    discard the quotients, so none are built and the cofactors come
+    back as None.
     """
     gens = list(gens)
     _require_weyl(p)
     if any(g.is_zero() for g in gens):
         raise ValueError("division by a zero operator")
-    ring = p.ring
-    nv = ring.nvars
-    if _heads is None:
-        _heads = [exp_full(g, worder) for g in gens]
+    quotients = _base is None
+    if quotients:
+        _base = _Divisors(gens, [exp_full(g, worder) for g in gens])
+    shifted, leads = _base.shifted, _base.leads
     # each head as one flat tuple x + d, tested against the step's xe + beta
-    heads = [hw.x + hw.d for hw in _heads]
+    divisors = [(leads[k].x + leads[k].d, leads[k], k)
+                for k in (range(len(gens)) if _ids is None else _ids)]
     kd, kx = worder.order_d.key, worder.order_x.key
 
     # fraction-free working copy: d-exponent -> x-exponent -> integer
@@ -119,26 +190,23 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
         slot = work[beta]
         xe = max(slot, key=kx)
         c = slot[xe]
-        we = WeylExp(xe, beta)
-        if prev is not None and worder.compare(we, prev) >= 0:
-            raise AssertionError(f"division did not descend strictly at {we}")
-        prev = we
+        key = (kd(beta), kx(xe))  # worder.key of the step's monomial
+        if prev is not None and key >= prev:
+            raise AssertionError(
+                f"division did not descend strictly at {WeylExp(xe, beta)}")
+        prev = key
         if _stats is not None:
             _stats["division_steps"] += 1
         flat = xe + beta
-        for i, hf in enumerate(heads):
+        for i, (hf, hw, k) in enumerate(divisors):
             if all(map(le, hf, flat)):
-                hw = _heads[i]
-                dshift = sub_exp(beta, hw.d)
-                xshift = sub_exp(xe, hw.x)
-                mono = DiffOp._make(ring, {dshift: Poly._make(nv, {xshift: 1})})
-                # the product's leading monomial is we, with g's leading
-                # coefficient; bring it over one denominator pd
-                mg = mono * gens[i]
-                pd = lcm(*(pl._den for pl in mg.terms.values()))
-                lead = mg.terms[beta]
-                gc = lead._nums[xe] * (pd // lead._den)
-                cofd[i].setdefault(dshift, {})[xshift] = Fraction(c * pd, den * gc)
+                # the head divides, so both differences stay in N^k
+                dshift = tuple(map(sub, beta, hw.d))
+                xshift = tuple(map(sub, xe, hw.x))
+                # x^xshift d^dshift * g leads at the step's monomial
+                pd, gc, terms = shifted(k, dshift)
+                if quotients:
+                    cofd[i].setdefault(dshift, {})[xshift] = Fraction(c * pd, den * gc)
                 h = gcd(c, gc)
                 s, t = gc // h, c // h
                 if s < 0:
@@ -148,17 +216,7 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
                         for x in row:
                             row[x] *= s
                     den *= s
-                for b, pl in mg.terms.items():
-                    row = work.setdefault(b, {})
-                    m = t * (pd // pl._den)
-                    for x, n in pl._nums.items():
-                        nc = row.get(x, 0) - m * n
-                        if nc:
-                            row[x] = nc
-                        else:
-                            del row[x]
-                    if not row:
-                        del work[b]
+                _subtract(work, t, terms, xshift)
                 break
         else:
             remd.setdefault(beta, {})[xe] = (c, den)
@@ -166,33 +224,47 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
             if not slot:
                 del work[beta]
 
-    # strict descent writes each (d, x) slot once, with a nonzero entry
-    cof = [DiffOp._make(ring, {b: Poly._make(nv, *_common_den(xs)) for b, xs in d.items()})
-           for d in cofd]
-    rem = DiffOp._make(ring, {
+    nv = p.ring.nvars
+    rem = DiffOp._make(p.ring, {
         b: _lowest(nv, {x: c * (den // d) for x, (c, d) in xs.items()}, den)
         for b, xs in remd.items()})
+    if not quotients:
+        return None, rem
+    # strict descent writes each (d, x) slot once, with a nonzero entry
+    cof = [DiffOp._make(p.ring, {b: Poly._make(nv, *_common_den(xs)) for b, xs in d.items()})
+           for d in cofd]
     return cof, rem
 
 
 def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
-    return primitive_scale(p.terms.values(), _lead_full(p, worder)[1]) * p
+    c = primitive_scale(p.terms.values(), _lead_full(p, worder)[1])
+    return DiffOp._make(p.ring, {e: pl * c for e, pl in p.terms.items()})
 
 
-def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
-    """S-operator cancelling the two leading monomials."""
-    wf, cf = _lead_full(f, worder)
-    wg, cg = _lead_full(g, worder)
-    ring = f.ring
-    nv = ring.nvars
+def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
+                    _base: _Divisors | None = None, _ids=(0, 1)) -> DiffOp:
+    """S-operator cancelling the two leading monomials.
+
+    ``_base`` is a caller's ``_Divisors`` holding f and g at ``_ids``."""
+    if _base is None:
+        _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]])
+    i, j = _ids
+    wf, wg = _base.leads[i], _base.leads[j]
     l = _w_lcm(wf, wg)
-    qf, qg = 1 / cf, 1 / cg
-    mf = DiffOp._make(ring, {sub_exp(l.d, wf.d): Poly._make(
-        nv, {sub_exp(l.x, wf.x): qf.numerator}, qf.denominator)})
-    mg = DiffOp._make(ring, {sub_exp(l.d, wg.d): Poly._make(
-        nv, {sub_exp(l.x, wg.x): qg.numerator}, qg.denominator)})
-    return mf * f - mg * g
+    # mf * f = Af / af with Af the memo's integer form of x^a d^b * f
+    # and af its lead, so S = Af / af - Ag / ag = (u*Af - v*Ag) / (u*af)
+    _, af, tf = _base.shifted(i, tuple(map(sub, l.d, wf.d)))
+    _, ag, tg = _base.shifted(j, tuple(map(sub, l.d, wg.d)))
+    h = gcd(af, ag)
+    u, v = ag // h, af // h
+    if u * af < 0:
+        u, v = -u, -v
+    work: dict = {}
+    _subtract(work, -u, tf, tuple(map(sub, l.x, wf.x)))
+    _subtract(work, v, tg, tuple(map(sub, l.x, wg.x)))
+    nv = f.ring.nvars
+    return DiffOp._make(f.ring, {b: _lowest(nv, row, u * af) for b, row in work.items()})
 
 
 @dataclass
@@ -241,16 +313,17 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     # A skipped pair counts as treated; citations only ever point at
     # pairs popped earlier, so no two pairs can excuse each other.
     partners = defaultdict(set)
+    base = _Divisors(basis, leads)
     for i, j, l in critical_pairs(leads, _w_lcm, worder.key):
         partners[i].add(j)
         partners[j].add(i)
         stats["s_pairs"] += 1
         if any(_w_divides(leads[k], l) for k in partners[i] & partners[j]):
             continue
-        s = s_operator_weyl(basis[i], basis[j], worder)
+        s = s_operator_weyl(basis[i], basis[j], worder, _base=base, _ids=(i, j))
         if s.is_zero():
             continue
-        _, r = divide_weyl(s, basis, worder, _stats=stats, _heads=leads)
+        _, r = divide_weyl(s, basis, worder, _stats=stats, _base=base)
         stats["reductions"] += 1
         if r.is_zero():
             continue
@@ -272,7 +345,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     for t in keep:
         others = [u for u in keep if u != t]
         _, r = divide_weyl(basis[t], [basis[u] for u in others], worder,
-                           _heads=[leads[u] for u in others])
+                           _base=base, _ids=others)
         final.append(_primitive_weyl(r, worder))
     # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)
@@ -283,10 +356,11 @@ def is_gb(gens, worder: WeylOrder) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero operator")
+    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens])
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            s = s_operator_weyl(gens[i], gens[j], worder)
-            if not divide_weyl(s, gens, worder)[1].is_zero():
+            s = s_operator_weyl(gens[i], gens[j], worder, _base=base, _ids=(i, j))
+            if not divide_weyl(s, gens, worder, _base=base)[1].is_zero():
                 return False
     return True
 

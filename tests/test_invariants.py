@@ -60,3 +60,30 @@ def test_reduce_descent_check_survives_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 reduction did not descend strictly")
+
+
+# division whose base claims a wrong leading exponent for x1*d1 + x1^2*d1
+# (x1*d1 instead of x1^2*d1): the step then cancels x1*d1 and leaves the
+# larger x1^2*d1, and only the strict-descent check stops the loop
+WRONG_HEAD_DIVISION = """
+import sys
+from diffgb import RingSpec, WeylExp, WeylOrder, divide_weyl
+from diffgb.weylbasis import _Divisors
+
+ring = RingSpec(1)
+x, d = ring.embed(ring.x(0)), ring.d(0)
+g = x * d + x * x * d
+base = _Divisors([g], [WeylExp((1,), (1,))])
+try:
+    divide_weyl(x * d, [g], WeylOrder(), _base=base)
+except AssertionError as e:
+    print(sys.flags.optimize, e)
+"""
+
+
+def test_weyl_division_descent_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_HEAD_DIVISION],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 division did not descend strictly")

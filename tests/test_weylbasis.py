@@ -10,6 +10,7 @@ from diffgb import (
     DiffOp,
     GeneratorSet,
     MonomialOrder,
+    Poly,
     RingSpec,
     WeylExp,
     WeylOrder,
@@ -23,8 +24,9 @@ from diffgb import (
     member,
     s_operator_weyl,
 )
+from diffgb import weylbasis
 from diffgb.deltabasis import CompletionCapExceeded
-from diffgb.weylbasis import _lead_full, _primitive_weyl
+from diffgb.weylbasis import _Divisors, _lead_full, _primitive_weyl
 from helpers import (
     assert_canonical_op,
     example6_ops,
@@ -34,6 +36,7 @@ from helpers import (
     rand_poly,
     ring1,
     ring2,
+    slow_mul,
 )
 
 W = WeylOrder(MonomialOrder("deglex"), MonomialOrder("deglex"))
@@ -293,3 +296,99 @@ def test_buchberger_weyl_golden_bases_and_counters(x_order, gens, ops, stats):
                         WeylOrder(MonomialOrder(x_order), MonomialOrder("deglex")))
     assert [str(p) for p in g.ops] == ops
     assert g.stats == stats
+
+
+# -- the memo of d-shifted divisors ------------------------------------------
+
+ORDERS = [W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex")),
+          WeylOrder(MonomialOrder("deglex"), MonomialOrder("lex"))]
+
+
+def textbook_s_operator(f, g, worder):
+    """mf*f - mg*g with mf = x^a d^b / lc(f) built out and multiplied
+    one derivation at a time."""
+    (wf, cf), (wg, cg) = _lead_full(f, worder), _lead_full(g, worder)
+    lx, ld = tuple(map(max, wf.x, wg.x)), tuple(map(max, wf.d, wg.d))
+
+    def multiplier(w, c):
+        return DiffOp(f.ring, {tuple(a - b for a, b in zip(ld, w.d)): Poly.monomial(
+            f.ring.nvars, tuple(a - b for a, b in zip(lx, w.x)), 1 / c)})
+
+    return slow_mul(multiplier(wf, cf), f) - slow_mul(multiplier(wg, cg), g)
+
+
+def divisors(ops, worder):
+    return _Divisors(ops, [exp_full(g, worder) for g in ops])
+
+
+def test_s_operator_matches_textbook_with_and_without_memo_fuzz():
+    rng = random.Random(69)
+    for _ in range(40):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        ops = [rand_qop(rng, r) for _ in range(3)]
+        base = divisors(ops, w)
+        for i, j in [(0, 1), (1, 2), (2, 0), (0, 2), (1, 1)]:
+            want = textbook_s_operator(ops[i], ops[j], w)
+            for got in (s_operator_weyl(ops[i], ops[j], w),
+                        s_operator_weyl(ops[i], ops[j], w, _base=base, _ids=(i, j))):
+                assert got == want
+                assert_canonical_op(got)
+
+
+def test_memo_is_keyed_by_base_index_fuzz():
+    # one memo shared by divisions by sublists in any order, as the tail
+    # reductions of buchberger_weyl share it: each divisor must get its
+    # own products, whatever its position in the sublist
+    rng = random.Random(70)
+    for _ in range(30):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        ops = [rand_qop(rng, r) for _ in range(4)]
+        base = divisors(ops, w)
+        for _ in range(6):
+            ids = rng.sample(range(4), rng.randint(1, 4))
+            gens = [ops[k] for k in ids]
+            p = rand_qop(rng, r, max_order=3, max_terms=4)
+            qs, rem = divide_weyl(p, gens, w)
+            assert divide_weyl(p, gens, w, _base=base, _ids=ids) == (None, rem)
+            # the cofactors of the memo-free division rebuild p
+            rebuilt = rem
+            for q, g in zip(qs, gens):
+                rebuilt = rebuilt + slow_mul(q, g)
+            assert rebuilt == p
+        # and in the base's own order, as the pair loop divides
+        p = rand_qop(rng, r, max_order=3, max_terms=4)
+        assert divide_weyl(p, ops, w, _base=base) == (None, divide_weyl(p, ops, w)[1])
+
+
+def test_is_gb_matches_textbook_criterion_fuzz():
+    rng = random.Random(72)
+    seen = set()
+    for _ in range(25):
+        w = rng.choice(ORDERS)
+        r = ring2(w.order_d.kind)
+        gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1) for _ in range(2)]
+        for ops in (gens, list(buchberger_weyl(gens, w).ops)):
+            want = all(divide_weyl(textbook_s_operator(f, g, w), ops, w)[1].is_zero()
+                       for i, f in enumerate(ops) for g in ops[i + 1:])
+            assert is_gb(ops, w) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_gb_shares_one_memo(monkeypatch):
+    made = []
+
+    class Spy(_Divisors):
+        __slots__ = ()
+
+        def __init__(self, ops, leads):
+            made.append(len(ops))
+            super().__init__(ops, leads)
+
+    r = ring2()
+    gens = [parse_op(r, t) for t in WEYL_GOLDEN[0][2]]
+    monkeypatch.setattr(weylbasis, "_Divisors", Spy)
+    assert is_gb(gens, W)
+    assert made == [3]
