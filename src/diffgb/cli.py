@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,7 +234,7 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
             ],
         }
     elif command == "verify-delta-gb":
-        hit = _first_failure(GeneratorSet(ops, ring))
+        hit = _first_failure(GeneratorSet(ops, ring), Counter())
         doc.verdict = hit is None
         if hit is not None:
             sop, tr = hit

@@ -11,6 +11,7 @@ every one of them reduces to zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .diffop import DiffOp, RingSpec
@@ -209,18 +210,16 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     return out
 
 
-def _first_failure(f: GeneratorSet, stats: dict | None = None):
+def _first_failure(f: GeneratorSet, stats: dict):
     """First S-operator with a nonzero deterministic remainder, or None."""
     for alpha in lcm_targets(f):
         for sop in s_delta_operators(f, alpha):
-            if stats is not None:
-                stats["s_operators"] += 1
+            stats["s_operators"] += 1
             if sop.operator.is_zero():
                 continue
             tr = reduce(sop.operator, f)
-            if stats is not None:
-                stats["reductions"] += 1
-                stats["reduction_steps"] += tr.steps
+            stats["reductions"] += 1
+            stats["reduction_steps"] += tr.steps
             if not tr.remainder.is_zero():
                 return sop, tr
     return None
@@ -228,7 +227,7 @@ def _first_failure(f: GeneratorSet, stats: dict | None = None):
 
 def is_delta_groebner(f) -> bool:
     """Base criterion: every S-operator reduces to zero."""
-    return _first_failure(GeneratorSet.wrap(f)) is None
+    return _first_failure(GeneratorSet.wrap(f), Counter()) is None
 
 
 def minimal_stair(exps, order) -> tuple[ExpVec, ...]:

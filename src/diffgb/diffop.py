@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .orders import ExpVec, MonomialOrder, add_exp
+from .orders import ExpVec, MonomialOrder
 from .poly import Poly, primitive_scale
 
 

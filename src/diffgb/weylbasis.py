@@ -73,8 +73,8 @@ def _w_lcm(a: WeylExp, b: WeylExp) -> WeylExp:
     return WeylExp(tuple(map(max, a.x, b.x)), tuple(map(max, a.d, b.d)))
 
 
-def _require_weyl(p: DiffOp) -> None:
-    if p.ring.m:
+def _require_weyl(*ops: DiffOp) -> None:
+    if any(p.ring.m for p in ops):
         raise ValueError("classical bases need a pure operator ring (m = 0)")
 
 
@@ -96,8 +96,8 @@ def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
 
 
 class _Divisors:
-    """The divisors of one computation, their leading exponents, and a
-    memo of their d-shifted products: (k, b) -> d^b * ops[k].
+    """Divisors and leading exponents of one computation, the steps its
+    divisions took, and a memo of d-shifted products: (k, b) -> d^b * ops[k].
 
     ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
     base, which only grows), and k indexes them; a division by a
@@ -108,12 +108,13 @@ class _Divisors:
     leading monomial.
     """
 
-    __slots__ = ("ops", "leads", "done")
+    __slots__ = ("ops", "leads", "done", "steps")
 
     def __init__(self, ops, leads):
         self.ops = ops
         self.leads = leads
         self.done = {}
+        self.steps = 0
 
     def shifted(self, k: int, b: tuple):
         entry = self.done.get((k, b))
@@ -149,7 +150,7 @@ def _subtract(work: dict, m: int, terms: dict, xshift: tuple) -> None:
             del work[b]
 
 
-def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
+def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
                 _base: _Divisors | None = None, _ids=None):
     """Full division in the Weyl algebra.
 
@@ -195,8 +196,7 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder, _stats: dict | None = None,
             raise AssertionError(
                 f"division did not descend strictly at {WeylExp(xe, beta)}")
         prev = key
-        if _stats is not None:
-            _stats["division_steps"] += 1
+        _base.steps += 1
         flat = xe + beta
         for i, (hf, hw, k) in enumerate(divisors):
             if all(map(le, hf, flat)):
@@ -248,6 +248,7 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
 
     ``_base`` is a caller's ``_Divisors`` holding f and g at ``_ids``."""
     if _base is None:
+        _require_weyl(f, g)
         _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]])
     i, j = _ids
     wf, wg = _base.leads[i], _base.leads[j]
@@ -289,8 +290,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    for g in gens:
-        _require_weyl(g)
+    _require_weyl(*gens)
     ring = gens[0].ring
     stats = {"s_pairs": 0, "reductions": 0, "division_steps": 0, "additions": 0}
 
@@ -323,7 +323,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         s = s_operator_weyl(basis[i], basis[j], worder, _base=base, _ids=(i, j))
         if s.is_zero():
             continue
-        _, r = divide_weyl(s, basis, worder, _stats=stats, _base=base)
+        _, r = divide_weyl(s, basis, worder, _base=base)
         stats["reductions"] += 1
         if r.is_zero():
             continue
@@ -338,6 +338,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
             # a constant (0 is the least exponent): the whole ring, so
             # every remaining pair reduces to zero
             break
+    stats["division_steps"] = base.steps  # the tail pass is not counted
 
     # minimal: drop elements whose lead another lead divides
     keep = minimal_indices(leads, worder.key, _w_divides)
@@ -356,6 +357,7 @@ def is_gb(gens, worder: WeylOrder) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero operator")
+    _require_weyl(*gens)
     base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens])
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):

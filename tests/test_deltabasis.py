@@ -24,7 +24,7 @@ from diffgb import (
     reduce,
     s_delta_operators,
 )
-from diffgb import groebner
+from diffgb import deltabasis, groebner
 from diffgb.diffop import RingSpec
 from diffgb.orders import MonomialOrder
 from helpers import (
@@ -426,6 +426,30 @@ def test_complete_matches_rebuild_every_round_oracle():
             got = (got.ops, got.stair, got.stats)
             grew += want[2]["additions"] > 0
         assert got == want
+    assert grew >= 3
+
+
+def test_complete_counters_match_the_reductions_it_runs(monkeypatch):
+    real = deltabasis.reduce
+    steps = []
+
+    def spy(*args, **kw):
+        tr = real(*args, **kw)
+        steps.append(tr.steps)
+        return tr
+
+    monkeypatch.setattr(deltabasis, "reduce", spy)
+    grew = 0
+    for gens, cap in _completion_inputs():
+        steps.clear()
+        try:
+            stats = complete(gens, cap=cap).stats
+        except CompletionCapExceeded:
+            continue
+        assert stats["reductions"] == len(steps)
+        assert stats["reduction_steps"] == sum(steps)
+        assert stats["rounds"] == stats["additions"] + 1
+        grew += stats["additions"] > 0
     assert grew >= 3
 
 

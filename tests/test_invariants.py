@@ -37,6 +37,28 @@ def test_problem_text_is_read_through_public_names():
     assert not found, "private names imported from problems: " + ", ".join(found)
 
 
+def test_every_imported_name_is_read():
+    # an import that nothing reads is dead code; names that __init__
+    # re-exports through __all__ count as read
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in read]
+    assert not found, "imported names never read: " + ", ".join(found)
+
+
 # membership that claims success but cancels nothing: reduce then makes
 # no progress, and only its strict-descent check stops the loop
 STALLED_REDUCE = """

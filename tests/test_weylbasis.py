@@ -392,3 +392,54 @@ def test_is_gb_shares_one_memo(monkeypatch):
     monkeypatch.setattr(weylbasis, "_Divisors", Spy)
     assert is_gb(gens, W)
     assert made == [3]
+
+
+def test_parameter_rings_are_rejected_at_every_entry_point():
+    r = RingSpec(1, 1)
+    x1, x2, d1 = r.embed(r.x(0)), r.embed(r.x(1)), r.d(0)
+    for call in (lambda: is_gb([x2 * d1], W),
+                 lambda: is_gb([x2 * d1, d1 + x1], W),
+                 lambda: gb_implies_delta_check([x2 * d1], W),
+                 lambda: s_operator_weyl(x2 * d1, d1 + x1, W)):
+        with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
+            call()
+
+
+# -- counters ---------------------------------------------------------------
+
+
+def monomials(op):
+    return sum(len(c.terms) for c in op.terms.values())
+
+
+def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
+    # each division step writes one cofactor monomial or moves one
+    # monomial to the remainder, so the pair loop's divisions, redone
+    # through the public path, account for every counted step; the
+    # tail reductions after the loop are not counted
+    real = weylbasis.divide_weyl
+    calls = []
+
+    def spy(p, gens, worder, **kw):
+        if "_base" in kw and "_ids" not in kw:
+            calls.append((p, list(gens), worder))
+        return real(p, gens, worder, **kw)
+
+    monkeypatch.setattr(weylbasis, "divide_weyl", spy)
+    rng = random.Random(74)
+    steps = 0
+    for _ in range(30):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        calls.clear()
+        stats = buchberger_weyl(gens, w).stats
+        want = 0
+        for p, ops, worder in calls:
+            qs, rem = real(p, ops, worder)
+            want += sum(map(monomials, qs)) + monomials(rem)
+        assert stats["division_steps"] == want
+        assert stats["reductions"] == len(calls)
+        steps += want
+    assert steps > 100
