@@ -3,9 +3,13 @@
 An exponent vector is a plain tuple of nonnegative ints.  Orderings are
 total, compatible with addition and have 0 as least element, so every
 strictly decreasing chain of exponents is finite.  The Buchberger
-bookkeeping that needs only leads, an lcm and an order (minimalization
-and the critical-pair queue) lives here too, shared by the commutative
-and the Weyl-algebra loops.
+bookkeeping that needs only leads, an lcm and an order lives here too:
+minimalization, shared by the commutative and the Weyl-algebra loops,
+and the all-pairs queue ``critical_pairs``, which serves only the
+commutative loop: its expression matrix depends on which pairs it
+reduces and in what order, and every delta base is built on that
+matrix, so its pair strategy stays fixed.  The Weyl loop keeps its own
+Gebauer-Moeller queue (``weylbasis``).
 """
 
 from __future__ import annotations

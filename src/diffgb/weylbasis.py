@@ -3,12 +3,22 @@
 Exponents are pairs (x-part, d-part) compared by an elimination order:
 the d-parts first, then the x-parts.  Leading exponents multiply under
 operator composition because every Leibniz correction is smaller in
-both parts, so the usual division/Buchberger loop goes through.  Of the
-pair-skipping criteria only the chain criterion is applied: it needs no
-more than leading exponents that multiply, so it holds in solvable
-algebras such as this one (Kandri-Rody & Weispfenning, JSC 9, 1990).
-The coprime-lead criterion needs commuting factors and is unsound here:
-x and d have coprime leads, yet d*x - x*d = 1.
+both parts, so the usual division/Buchberger loop goes through.
+
+``buchberger_weyl`` keeps its pairs by the Gebauer-Moeller update
+(Gebauer & Moeller, JSC 6, 1988), applied to each input and to each
+appended remainder h.  h pairs only with the live elements, and of
+those pairs only one per divisibility-minimal lcm is queued (criteria
+M and F); a queued pair whose lcm lead(h) divides, and equals neither
+of its lcms with h, is dropped (criterion B); and every element whose
+lead lead(h) divides leaves the live set.  All three rest on the chain
+criterion, which needs no more than leading exponents that multiply,
+so it holds in solvable algebras such as this one (Kandri-Rody &
+Weispfenning, JSC 9, 1990).  The coprime-lead (product) criterion
+needs commuting factors and is unsound here: x and d have coprime
+leads, yet d*x - x*d = 1.  The pair loop divides by the live elements
+only: every other element's lead is a multiple of a live lead, so a
+remainder reduced by the live set is reduced by the whole base.
 
 Every product the loop forms is a monomial x^a d^b times a base element
 g: one per division step, two per S-operator.  Coefficients sit to the
@@ -25,16 +35,16 @@ so the memo does not pay there.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop
 from math import gcd, lcm
 from operator import add, le, sub
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
-from .orders import MonomialOrder, critical_pairs, minimal_indices
+from .orders import MonomialOrder, minimal_indices
 from .poly import Poly, _common_den, _lowest, primitive_scale
 
 
@@ -249,6 +259,8 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
     ``_base`` is a caller's ``_Divisors`` holding f and g at ``_ids``."""
     if _base is None:
         _require_weyl(f, g)
+        if f.is_zero() or g.is_zero():
+            raise ValueError("the zero operator has no leading exponent, so no S-operator")
         _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]])
     i, j = _ids
     wf, wg = _base.leads[i], _base.leads[j]
@@ -291,53 +303,63 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     if not gens:
         raise ValueError("need at least one generator")
     _require_weyl(*gens)
-    ring = gens[0].ring
     stats = {"s_pairs": 0, "reductions": 0, "division_steps": 0, "additions": 0}
 
     basis: list[DiffOp] = []
     leads: list[WeylExp] = []
-    for g in gens:
-        if g.is_zero():
-            continue
+    base = _Divisors(basis, leads)
+    # live: the elements whose lead no later lead divides, the only
+    # divisors and the only partners of a new element.  queue: a heap
+    # of the open pairs as (worder.key(lcm), i, j, lcm), i < j.
+    live: list[int] = []
+    queue: list = []
+
+    def append(g: DiffOp) -> None:
         # integer-primitive keeps the rationals small through the long
         # division chains; the output pass renormalizes anyway
         g = _primitive_weyl(g, worder)
+        h, lh = len(basis), _lead_full(g, worder)[0]
         basis.append(g)
-        leads.append(_lead_full(g, worder)[0])
+        leads.append(lh)
+        if not any(lh.x) and not any(lh.d):
+            # a constant (0 is the least exponent): the whole ring, so
+            # every pair reduces to zero and no other element stays live
+            queue.clear()
+            live.clear()
+        elif live:
+            # B: lh divides the pair's lcm, which differs from both new
+            # lcms, so the chain through h covers the pair
+            queue[:] = [q for q in queue if not _w_divides(lh, q[3])
+                        or _w_lcm(leads[q[1]], lh) == q[3] or _w_lcm(leads[q[2]], lh) == q[3]]
+            # M and F: one new pair per divisibility-minimal lcm
+            lcms = [_w_lcm(leads[i], lh) for i in live]
+            for t in minimal_indices(lcms, worder.key, _w_divides):
+                queue.append((worder.key(lcms[t]), live[t], h, lcms[t]))
+            heapify(queue)
+            live[:] = [i for i in live if not _w_divides(lh, leads[i])]
+        live.append(h)
+
+    for g in gens:
+        if not g.is_zero():
+            append(g)
     if not basis:
         raise ValueError("all generators are zero")
 
-    # partners[k]: the leads whose pair with k is treated already.  A pair
-    # is skipped when its lcm is covered by a third lead whose pairs with i
-    # and j are both treated: S(i,j) then reduces through those two.
-    # A skipped pair counts as treated; citations only ever point at
-    # pairs popped earlier, so no two pairs can excuse each other.
-    partners = defaultdict(set)
-    base = _Divisors(basis, leads)
-    for i, j, l in critical_pairs(leads, _w_lcm, worder.key):
-        partners[i].add(j)
-        partners[j].add(i)
+    while queue:
+        _, i, j, _ = heappop(queue)
         stats["s_pairs"] += 1
-        if any(_w_divides(leads[k], l) for k in partners[i] & partners[j]):
-            continue
         s = s_operator_weyl(basis[i], basis[j], worder, _base=base, _ids=(i, j))
         if s.is_zero():
             continue
-        _, r = divide_weyl(s, basis, worder, _base=base)
+        _, r = divide_weyl(s, [basis[k] for k in live], worder, _base=base, _ids=live)
         stats["reductions"] += 1
         if r.is_zero():
             continue
         if stats["additions"] >= cap:
             raise CompletionCapExceeded(
                 f"basis construction exceeded the cap of {cap} additions")
-        r = _primitive_weyl(r, worder)
-        basis.append(r)
-        leads.append(_lead_full(r, worder)[0])
+        append(r)
         stats["additions"] += 1
-        if not any(leads[-1].x) and not any(leads[-1].d):
-            # a constant (0 is the least exponent): the whole ring, so
-            # every remaining pair reduces to zero
-            break
     stats["division_steps"] = base.steps  # the tail pass is not counted
 
     # minimal: drop elements whose lead another lead divides

@@ -1,7 +1,8 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the code paths they are used to check:
-naive Buchberger works with a FIFO queue and no pair criteria, the
+naive Buchberger works with a FIFO queue and no pair criteria (in the
+Weyl algebra too, through the public S-operator and division), the
 membership oracle is dense linear algebra over the rationals, the
 product oracle moves one derivation at a time instead of using the
 closed Leibniz formula, and the pair-order reference scans a dict of
@@ -19,7 +20,10 @@ from diffgb import (
     Poly,
     ProblemFile,
     RingSpec,
+    divide_weyl,
+    exp_full,
     minimal_stair,
+    s_operator_weyl,
 )
 from diffgb.deltabasis import _first_failure
 from diffgb.orders import add_exp, divides, sub_exp
@@ -198,6 +202,39 @@ def naive_reduced_groebner(gens, order):
         if not r.is_zero():
             out.append(r.monic(order))
     out.sort(key=lambda p: order.key(p.lm(order)))
+    return out
+
+
+def naive_buchberger_weyl(gens, worder):
+    """FIFO Buchberger in the Weyl algebra without pair criteria, then
+    minimalization and tail reduction.
+
+    Returns the unique reduced basis, each element monic under
+    ``worder``, in ascending lead order.
+    """
+    basis = [g for g in gens if not g.is_zero()]
+    queue = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while queue:
+        i, j = queue.pop(0)
+        s = s_operator_weyl(basis[i], basis[j], worder)
+        r = divide_weyl(s, basis, worder)[1]
+        if not r.is_zero():
+            queue.extend((t, len(basis)) for t in range(len(basis)))
+            basis.append(r)
+
+    def lead_divides(a, b):
+        return divides(a.x, b.x) and divides(a.d, b.d)
+
+    leads = [exp_full(g, worder) for g in basis]
+    mins = []
+    for t in sorted(range(len(basis)), key=lambda t: worder.key(leads[t])):
+        if not any(lead_divides(leads[u], leads[t]) for u in mins):
+            mins.append(t)
+    out = []
+    for t in mins:
+        r = divide_weyl(basis[t], [basis[u] for u in mins if u != t], worder)[1]
+        w = exp_full(r, worder)
+        out.append(r * (1 / r.terms[w.d].terms[w.x]))
     return out
 
 

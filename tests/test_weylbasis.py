@@ -31,6 +31,7 @@ from helpers import (
     assert_canonical_op,
     example6_ops,
     integer_primitive,
+    naive_buchberger_weyl,
     parse_op,
     rand_op,
     rand_poly,
@@ -251,41 +252,42 @@ def test_primitive_weyl_integer_content_one_positive_lead_fuzz():
 
 # Bases recorded verbatim with their counters.  A reduced base is
 # unique, but the counters follow the order in which pairs are popped,
-# the chain criterion and the early exit once a constant is added (the
-# last five inputs generate the whole ring), so these pin all three.
+# the Gebauer-Moeller criteria and the early exit once a constant is
+# added (the last five inputs generate the whole ring), so these pin
+# all three.
 WEYL_GOLDEN = [
     ("deglex", ["x1*d1 + x1*d2 + x1", "(x2 - x1)*d2 - 1"],
      ["(-x2 + x1)*d2 + (1)", "(x1)*d1 + (x2)*d2 + (x1 - 1)",
       "(x2)*d1*d2 + (x2)*d2^2 + (-1)*d1 + (x2 - 1)*d2 + (-1)"],
-     {"s_pairs": 3, "reductions": 2, "division_steps": 9, "additions": 1}),
+     {"s_pairs": 2, "reductions": 2, "division_steps": 9, "additions": 1}),
     ("deglex", ["(-3*x2^2 - x1*x2 - 3*x1^2 - 3*x2)*d2", "(-2*x1 - 3)*d1", "d1^2"],
      ["(1)*d2", "(1)*d1"],
-     {"s_pairs": 55, "reductions": 16, "division_steps": 64, "additions": 8}),
+     {"s_pairs": 17, "reductions": 15, "division_steps": 59, "additions": 8}),
     ("lex", ["(-3*x2^2 - x1*x2 - 3*x1^2 - 3*x2)*d2", "(-2*x1 - 3)*d1", "d1^2"],
      ["(1)*d2", "(1)*d1"],
-     {"s_pairs": 78, "reductions": 19, "division_steps": 78, "additions": 10}),
+     {"s_pairs": 22, "reductions": 19, "division_steps": 76, "additions": 10}),
     ("deglex", ["(x1 - 1)*d1 - d2", "(-3*x1*x2)*d2^2", "(-2*x1*x2 - x1^2 + 2*x2)*d1*d2"],
      ["(x1 - 1)*d1 + (-1)*d2", "(1)*d2^2", "(1)*d1*d2"],
-     {"s_pairs": 36, "reductions": 10, "division_steps": 35, "additions": 6}),
+     {"s_pairs": 14, "reductions": 10, "division_steps": 36, "additions": 6}),
     ("lex", ["(3*x1^2 + 2*x2 + x1 + 3)*d1", "-4*d1^2 - x2^2*d1*d2"],
      ["(1)*d1"],
-     {"s_pairs": 21, "reductions": 9, "division_steps": 37, "additions": 5}),
+     {"s_pairs": 9, "reductions": 9, "division_steps": 32, "additions": 5}),
     ("deglex", ["4*d1 + x1*x2", "(2*x2^2 + x1)*d1", "d1*d2 + 2*x1^2*d2^2"],
      ["(1)"],
-     {"s_pairs": 34, "reductions": 12, "division_steps": 23, "additions": 9}),
+     {"s_pairs": 17, "reductions": 12, "division_steps": 22, "additions": 9}),
     ("lex", ["4*d1 + x1*x2", "(2*x2^2 + x1)*d1", "d1*d2 + 2*x1^2*d2^2"],
      ["(1)"],
-     {"s_pairs": 34, "reductions": 15, "division_steps": 45, "additions": 9}),
+     {"s_pairs": 18, "reductions": 13, "division_steps": 25, "additions": 9}),
     ("deglex", ["x1*d1 + x2", "d1*d2 + x1", "x2*d2 - 1"],
      ["(1)"],
-     {"s_pairs": 7, "reductions": 5, "division_steps": 10, "additions": 5}),
+     {"s_pairs": 6, "reductions": 5, "division_steps": 11, "additions": 5}),
     ("deglex", ["x1^2*d1 + 1", "x1*d1^2 + d2"],
      ["(1)"],
-     {"s_pairs": 12, "reductions": 8, "division_steps": 27, "additions": 7}),
+     {"s_pairs": 8, "reductions": 8, "division_steps": 31, "additions": 7}),
     # equal leads: pairs with equal lcms pop in (i, j) order
     ("deglex", ["(x1*x2 - 2)*d1*d2 + 3", "3*x1*x2*d2", "3*x1*x2*d2"],
      ["(1)"],
-     {"s_pairs": 38, "reductions": 11, "division_steps": 25, "additions": 10}),
+     {"s_pairs": 18, "reductions": 11, "division_steps": 25, "additions": 10}),
 ]
 
 
@@ -416,12 +418,13 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
     # each division step writes one cofactor monomial or moves one
     # monomial to the remainder, so the pair loop's divisions, redone
     # through the public path, account for every counted step; the
-    # tail reductions after the loop are not counted
+    # tail reductions after the loop (the last len(ops) divisions) are
+    # not counted
     real = weylbasis.divide_weyl
     calls = []
 
     def spy(p, gens, worder, **kw):
-        if "_base" in kw and "_ids" not in kw:
+        if "_base" in kw:
             calls.append((p, list(gens), worder))
         return real(p, gens, worder, **kw)
 
@@ -434,7 +437,9 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
         gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1)
                 for _ in range(rng.randint(1, 3))]
         calls.clear()
-        stats = buchberger_weyl(gens, w).stats
+        result = buchberger_weyl(gens, w)
+        stats = result.stats
+        del calls[len(calls) - len(result.ops):]
         want = 0
         for p, ops, worder in calls:
             qs, rem = real(p, ops, worder)
@@ -443,3 +448,80 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
         assert stats["reductions"] == len(calls)
         steps += want
     assert steps > 100
+
+
+def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
+    # read from outside the loop: every popped pair forms one
+    # S-operator, every nonzero one is divided once, the tail pass
+    # divides each output element once, and every addition grows the
+    # base that the memo holds
+    real_s, real_div = weylbasis.s_operator_weyl, weylbasis.divide_weyl
+    bases, s_calls, divisions = [], [], []
+
+    class Spy(_Divisors):
+        __slots__ = ()
+
+        def __init__(self, ops, leads):
+            bases.append(ops)
+            super().__init__(ops, leads)
+
+    def s_spy(*args, **kw):
+        s_calls.append(args)
+        return real_s(*args, **kw)
+
+    def div_spy(*args, **kw):
+        divisions.append(args)
+        return real_div(*args, **kw)
+
+    monkeypatch.setattr(weylbasis, "_Divisors", Spy)
+    monkeypatch.setattr(weylbasis, "s_operator_weyl", s_spy)
+    monkeypatch.setattr(weylbasis, "divide_weyl", div_spy)
+    rng = random.Random(75)
+    added = 0
+    for _ in range(30):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        for calls in (bases, s_calls, divisions):
+            calls.clear()
+        result = buchberger_weyl(gens, w)
+        stats = result.stats
+        assert stats["s_pairs"] == len(s_calls)
+        assert stats["reductions"] == len(divisions) - len(result.ops)
+        [ops] = bases
+        assert stats["additions"] == len(ops) - sum(not g.is_zero() for g in gens)
+        added += stats["additions"]
+    assert added > 20
+
+
+# -- the pair criteria against a criterion-free oracle ----------------------
+
+
+def test_buchberger_weyl_matches_the_criterion_free_oracle_fuzz():
+    # the Gebauer-Moeller update skips pairs and divides by the live
+    # elements only; the reduced base must not notice
+    rng = random.Random(76)
+    for _ in range(60):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        gens = [rand_qop(rng, r, max_order=2, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(2, 4))]
+        got = list(buchberger_weyl(gens, w).ops)
+        want = naive_buchberger_weyl(gens, w)
+        assert len(got) == len(want)
+        for p, q in zip(got, want):
+            e = exp_full(p, w)
+            c = p.terms[e.d].terms[e.x]
+            assert c > 0 and p == q * c
+        assert is_gb(got, w)
+        for g in gens:
+            assert divide_weyl(g, got, w)[1].is_zero()
+
+
+def test_s_operator_names_the_zero_operator():
+    r = RingSpec(2)
+    zero, d1 = DiffOp.zero(r), r.d(0)
+    for f, g in ((zero, d1), (d1, zero), (zero, zero)):
+        with pytest.raises(ValueError, match="zero operator"):
+            s_operator_weyl(f, g, WeylOrder())
