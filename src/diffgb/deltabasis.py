@@ -30,7 +30,11 @@ class GeneratorSet:
     The set only grows: a generator is appended at the end and never
     removed or moved.  So a participant index tuple always names the
     same leading coefficients in the same order, and a cone ideal
-    cached under it stays valid however many generators follow.
+    cached under it stays valid however many generators follow.  The
+    participants and the cone rows of an exponent are cached under the
+    exponent, and an append forgets them for every exponent the new
+    generator's exponent divides: those are the exponents whose
+    participants it changes.
     """
 
     def __init__(self, ops, ring: RingSpec | None = None):
@@ -41,6 +45,8 @@ class GeneratorSet:
         self.ops: tuple[DiffOp, ...] = ()
         self.exps: tuple[ExpVec, ...] = ()
         self._cones: dict[tuple[int, ...], PolyIdeal] = {}
+        self._idxs: dict[ExpVec, tuple[int, ...]] = {}
+        self._rows: dict[ExpVec, list] = {}
         for p in ops:
             self._append(p)
 
@@ -49,8 +55,11 @@ class GeneratorSet:
             raise ValueError("generators must be operators over one ring")
         if p.is_zero():
             raise ValueError("zero operators cannot generate")
+        e = p.exp_delta()
         self.ops += (p,)
-        self.exps += (p.exp_delta(),)
+        self.exps += (e,)
+        self._idxs = {a: v for a, v in self._idxs.items() if not divides(e, a)}
+        self._rows = {a: v for a, v in self._rows.items() if not divides(e, a)}
 
     @classmethod
     def wrap(cls, f) -> "GeneratorSet":
@@ -67,7 +76,11 @@ class GeneratorSet:
 
     def participants(self, alpha: ExpVec) -> tuple[int, ...]:
         """Indices whose leading d-exponent divides alpha."""
-        return tuple(i for i, e in enumerate(self.exps) if divides(e, alpha))
+        idxs = self._idxs.get(alpha)
+        if idxs is None:
+            idxs = tuple(i for i, e in enumerate(self.exps) if divides(e, alpha))
+            self._idxs[alpha] = idxs
+        return idxs
 
     def cone_ideal(self, alpha: ExpVec) -> PolyIdeal:
         idxs = self.participants(alpha)
@@ -76,18 +89,37 @@ class GeneratorSet:
             self._cones[idxs] = PolyIdeal(gens, self.ring.x_order())
         return self._cones[idxs]
 
+    def cone_row(self, alpha: ExpVec, j: int) -> DiffOp:
+        """H_j = sum_k A[j][k] d^(alpha - exp_k) F_k over the participants
+        k, with A the cone's expression matrix: leading exponent alpha
+        with leading coefficient the j-th element of the cone's reduced
+        base.  Built when first asked for."""
+        idxs = self.participants(alpha)
+        cone = self.cone_ideal(alpha)
+        rows = self._rows.get(alpha)
+        if rows is None:
+            rows = self._rows[alpha] = [None] * len(cone.groebner)
+        if rows[j] is None:
+            h = DiffOp.zero(self.ring)
+            for a, i in zip(cone.expression_matrix[j], idxs):
+                if a:
+                    shift = DiffOp._make(self.ring, {sub_exp(alpha, self.exps[i]): a})
+                    h = h + shift * self.ops[i]
+            rows[j] = h
+        return rows[j]
+
 
 def cone_coefficients(alpha: ExpVec, f) -> list[Poly]:
     """Leading coefficients of the generators covering alpha."""
     f = GeneratorSet.wrap(f)
-    return [f[i].c_delta() for i in f.participants(alpha)]
+    return [f[i].c_delta() for i in f.participants(tuple(alpha))]
 
 
 def cone_ideal(alpha: ExpVec, f) -> PolyIdeal:
     """Ideal of H generated by the covering leading coefficients
     (the zero ideal when nothing covers alpha)."""
     f = GeneratorSet.wrap(f)
-    return f.cone_ideal(alpha)
+    return f.cone_ideal(tuple(alpha))
 
 
 def is_reduced(p: DiffOp, f) -> bool:
@@ -121,13 +153,22 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
     the leading coefficient over the covering generators, in input
     order.  With ``tail`` the irreducible head is peeled off and the
     rest keeps reducing instead of stopping at the first stuck head.
+
+    A step divides the leading coefficient by the cone's reduced base
+    G, with quotients u_j, and subtracts sum_j u_j * H_j over the cone
+    rows of ``GeneratorSet.cone_row``.  Polynomials commute, so that is
+    exactly sum_k q_k d^(alpha - exp_k) F_k for the cofactors q = u*A
+    the trace records, but the u_j are small (often monomials) and a
+    polynomial times an operator needs no Leibniz rule.
     """
     f = GeneratorSet.wrap(f)
     ring = f.ring
     if p.ring != ring:
         raise ValueError("operator ring mismatch")
     order = ring.order_delta
-    cof = [DiffOp.zero(ring) for _ in f.ops]
+    # cofactor terms per generator; alpha descends strictly, so a step
+    # never writes a d-exponent that an earlier step wrote
+    cof = [{} for _ in f.ops]
     rem = DiffOp.zero(ring)
     cur = p
     steps = 0
@@ -138,19 +179,25 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
             raise AssertionError(f"reduction did not descend strictly at {alpha}")
         prev = alpha
         idxs = f.participants(alpha)
-        qs = None
         if idxs:
-            qs = f.cone_ideal(alpha).member_with_cofactors(cur.c_delta())
-        if qs is not None:
-            steps += 1
-            for pos, i in enumerate(idxs):
-                q = qs[pos]
-                if q.is_zero():
-                    continue
-                t = DiffOp._make(ring, {sub_exp(alpha, f.exps[i]): q})
-                cof[i] = cof[i] + t
-                cur = cur - t * f.ops[i]
-            continue
+            cone = f.cone_ideal(alpha)
+            us, r = cone.divide(cur.c_delta())
+            if not r:
+                steps += 1
+                for q, i in zip(cone.lift(us), idxs):
+                    if q:
+                        cof[i][sub_exp(alpha, f.exps[i])] = q
+                terms = dict(cur.terms)
+                for j, u in enumerate(us):
+                    if not u:
+                        continue
+                    for e, c in f.cone_row(alpha, j).terms.items():
+                        s = terms.pop(e, None)
+                        s = -(u * c) if s is None else s - u * c
+                        if s:
+                            terms[e] = s
+                cur = DiffOp._make(ring, terms)
+                continue
         if not tail:
             rem = cur
             break
@@ -158,7 +205,7 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
         rem = rem + head
         cur = cur - head
         steps += 1
-    return ReductionTrace(tuple(cof), rem, steps)
+    return ReductionTrace(tuple(DiffOp._make(ring, c) for c in cof), rem, steps)
 
 
 def lcm_targets(f) -> list[ExpVec]:
@@ -261,8 +308,10 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
     The input is copied once into a generator set that every addition
     extends in place, so the cone ideals computed so far, with their
     Groebner bases, serve every later round.  At the end only the cones
-    at the stair are kept, the ones the base reports, so a finished
-    base does not hold the bases of every cone the completion visited.
+    at the stair are kept, the ones the base reports, and the memos of
+    participants and cone rows are emptied, so a finished base does not
+    hold the data of every exponent the completion visited; ``member``
+    fills them again for the exponents its queries reach.
 
     Raises CompletionCapExceeded after ``cap`` additions, and ValueError
     for a negative cap before any work.
@@ -288,6 +337,7 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
     live = {gs.participants(a) for a in stair}
     gs._cones = {k: v for k, v in gs._cones.items() if k in live}
     cones = {a: gs.cone_ideal(a) for a in stair}
+    gs._idxs, gs._rows = {}, {}
     return DeltaBasis(gs.ops, ring, stair, cones, stats, gs)
 
 

@@ -264,6 +264,7 @@ class PolyIdeal:
         nv = {g.nvars for g in self.generators}
         if len(nv) > 1:
             raise ValueError("generators live in different rings")
+        self._nvars = next(iter(nv), 0)
         self._basis = None
 
     def _ensure(self):
@@ -281,17 +282,25 @@ class PolyIdeal:
         """Rows expressing the reduced base over the original generators."""
         return self._ensure()[1]
 
+    def divide(self, f: Poly):
+        """Quotients of f over the reduced base and the remainder:
+        f = sum q_j * groebner[j] + r, and r is zero iff f is in the ideal."""
+        return divide(f, self.groebner, self.order)
+
+    def lift(self, quotients) -> list[Poly]:
+        """Cofactors over the original generators of sum q_j * groebner[j],
+        through the expression matrix."""
+        return _combine(quotients, self.expression_matrix, len(self.generators),
+                        self._nvars)
+
     def member_with_cofactors(self, f: Poly):
         """Cofactors of f over the original generators, or None if f is
         not in the ideal.  f = sum cof_k * generators[k] exactly."""
-        g, a = self._ensure()
-        q, rem = divide(f, g, self.order)
-        if rem:
-            return None
-        return _combine(q, a, len(self.generators), f.nvars)
+        q, rem = self.divide(f)
+        return None if rem else self.lift(q)
 
     def contains(self, f: Poly) -> bool:
-        return divide(f, self.groebner, self.order)[1].is_zero()
+        return not self.divide(f)[1]
 
     def is_zero(self) -> bool:
         # the ideal is zero iff every generator is: no base needed

@@ -28,9 +28,11 @@ shifted by a, and only d^b * g needs the Leibniz rule.  Each
 (``_Divisors``) of d^b * g per (base index, b), in the fraction-free
 form its kernels subtract, and drops it when it returns.  Few d-shifts
 recur with many x-shifts, so most products are found there.  The delta
-reduction of ``deltabasis`` multiplies by d^b with a polynomial
-coefficient q, and q * (d^b * F) costs as much as the product itself,
-so the memo does not pay there.
+reduction of ``deltabasis`` multiplies d^b * F by a polynomial q, which
+costs as much as the product itself, so a memo of d^b * F alone does
+not pay there.  It caches whole cone rows instead
+(``GeneratorSet.cone_row``), which a step multiplies by the small
+quotients over the cone's reduced base.
 """
 
 from __future__ import annotations

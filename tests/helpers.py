@@ -5,8 +5,10 @@ naive Buchberger works with a FIFO queue and no pair criteria (in the
 Weyl algebra too, through the public S-operator and division), the
 membership oracle is dense linear algebra over the rationals, the
 product oracle moves one derivation at a time instead of using the
-closed Leibniz formula, and the pair-order reference scans a dict of
-open pairs for its minimum instead of keeping a heap.
+closed Leibniz formula, the delta-reduction oracle subtracts one such
+product per cofactor instead of reusing cached cone rows, and the
+pair-order reference scans a dict of open pairs for its minimum instead
+of keeping a heap.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from diffgb import (
     GeneratorSet,
     MonomialOrder,
     Poly,
+    PolyIdeal,
     ProblemFile,
     RingSpec,
     divide_weyl,
@@ -350,6 +353,47 @@ def slow_mul(p, q):
         scaled = DiffOp(ring, {ee: c * cc for ee, cc in part.terms.items()})
         total = total + scaled
     return total
+
+
+# -- delta reduction by the cofactor formula ---------------------------------
+
+def naive_reduce(p, gens, tail=False):
+    """Delta reduction that cancels each leading coefficient through its
+    cofactors over the covering generators, one product per cofactor.
+
+    At the leading exponent alpha, ``member_with_cofactors`` of the cone
+    ideal gives q_k, and the step subtracts slow_mul(q_k d^(alpha-e_k),
+    F_k) for every covering F_k.  No cone rows, no Leibniz formula.
+    Returns (cofactors, remainder, steps) as ``reduce``'s trace has them.
+    """
+    ring = p.ring
+    exps = [g.exp_delta() for g in gens]
+    cones = {}
+    cof = [DiffOp.zero(ring) for _ in gens]
+    rem = DiffOp.zero(ring)
+    cur = p
+    steps = 0
+    while not cur.is_zero():
+        alpha, c = cur.exp_delta(), cur.c_delta()
+        idxs = tuple(i for i, e in enumerate(exps) if divides(e, alpha))
+        qs = None
+        if idxs:
+            if idxs not in cones:
+                cones[idxs] = PolyIdeal([gens[i].c_delta() for i in idxs], ring.x_order())
+            qs = cones[idxs].member_with_cofactors(c)
+        if qs is not None:
+            steps += 1
+            for q, i in zip(qs, idxs):
+                t = DiffOp.term(ring, sub_exp(alpha, exps[i]), q)
+                cof[i] = cof[i] + t
+                cur = cur - slow_mul(t, gens[i])
+            continue
+        if not tail:
+            return cof, rem + cur, steps
+        head = DiffOp.term(ring, alpha, c)
+        rem, cur = rem + head, cur - head
+        steps += 1
+    return cof, rem, steps
 
 
 # -- completion without carried-over caches ----------------------------------

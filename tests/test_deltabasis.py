@@ -30,12 +30,14 @@ from diffgb.orders import MonomialOrder
 from helpers import (
     cone_example_ops,
     example6_ops,
+    naive_reduce,
     parse_op,
     rand_op,
     rand_poly,
     rebuild_complete,
     ring1,
     ring2,
+    slow_mul,
 )
 
 
@@ -63,6 +65,9 @@ def test_cone_ideals_lex_example():
     assert ideal_eq(cone_ideal((2, 0), f), [x1], o)
     assert ideal_eq(cone_ideal((0, 2), f), [x2], o)
     assert ideal_eq(cone_ideal((2, 2), f), [x1, x2], o)
+    # an exponent given as a list names the same cone
+    assert cone_ideal([2, 0], f) is cone_ideal((2, 0), f)
+    assert cone_coefficients([2, 2], f) == cone_coefficients((2, 2), f)
 
 
 def test_cone_ideal_single_generator():
@@ -158,6 +163,65 @@ def test_reduce_example_subtraction():
     assert tr.remainder.is_zero()
     assert tr.cofactors[0] == r.embed(1)
     assert tr.cofactors[1] == parse_op(r, "x1*d2 + x1")
+
+
+def _trace(tr):
+    return list(tr.cofactors), tr.remainder, tr.steps
+
+
+def test_reduce_matches_the_cofactor_formula_oracle():
+    # cone rows give the same trace as one product per cofactor
+    rng = random.Random(61)
+    for k in range(36):
+        r = ring2(order=("deglex", "degrevlex", "lex")[k % 3], m=k // 3 % 2)
+        gens = [rand_op(rng, r, max_order=2, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        f = GeneratorSet(gens)
+        queries = [rand_op(rng, r, max_order=3, max_terms=4)]
+        combo = DiffOp.zero(r)
+        for g in gens:
+            combo = combo + slow_mul(rand_op(rng, r, max_order=1, max_terms=2,
+                                             max_deg=1, zero_ok=True), g)
+        queries.append(combo)
+        for p in queries:
+            for tail in (False, True):
+                tr = reduce(p, f, tail=tail)
+                assert _trace(tr) == naive_reduce(p, gens, tail=tail)
+                rebuilt = tr.remainder
+                for c, g in zip(tr.cofactors, gens):
+                    rebuilt = rebuilt + slow_mul(c, g)
+                assert rebuilt == p
+
+
+def test_reduce_after_an_append_matches_a_fresh_generator_set():
+    # the append changes the participants, the cone base and its row at
+    # the visited exponent (1,): x1*d1 + 1 alone, then with d1 as well
+    r = ring1()
+    gs = GeneratorSet([parse_op(r, "x1*d1 + 1")])
+    queries = [parse_op(r, "x1*d1"), parse_op(r, "d1 + x1")]
+    before = [_trace(reduce(p, gs)) for p in queries]
+    assert before[0][2] == 1 and not before[1][1].is_zero()
+    gs._append(parse_op(r, "d1"))
+    fresh = GeneratorSet(gs.ops)
+    for p in queries:
+        assert _trace(reduce(p, gs)) == _trace(reduce(p, fresh))
+    assert reduce(queries[1], gs).remainder == parse_op(r, "x1")
+    # the same on seeded sets, appending an operator below a visited exponent
+    rng = random.Random(62)
+    for k in range(30):
+        r = ring2(m=k % 2)
+        gs = GeneratorSet([rand_op(rng, r, max_order=2, max_terms=2, max_deg=1)
+                           for _ in range(rng.randint(1, 2))])
+        queries = [rand_op(rng, r, max_order=3, max_terms=4) for _ in range(3)]
+        for p in queries:
+            reduce(p, gs)
+        alpha = rng.choice(sorted(gs._idxs))
+        shift = tuple(rng.randint(0, a) for a in alpha)
+        extra = rand_op(rng, r, max_order=0, max_terms=2, max_deg=1)
+        gs._append(DiffOp.term(r, shift, 1) + extra)
+        fresh = GeneratorSet(gs.ops)
+        for p in queries:
+            assert _trace(reduce(p, gs)) == _trace(reduce(p, fresh))
 
 
 # -- lcm targets and S-operators ----------------------------------------------
@@ -556,6 +620,18 @@ def test_member_positive_fuzz():
         for c, g in zip(tr.cofactors, b.ops):
             rebuilt = rebuilt + c * g
         assert rebuilt == p
+
+
+def test_complete_returns_empty_memos_that_member_fills():
+    r, p1, p2 = example6_ops()
+    b = complete([p1, p2])
+    gs = b.genset
+    assert gs._idxs == {} and gs._rows == {}
+    ok, tr = member(r.d(1) * p1 + p2, b)
+    assert ok and tr.steps >= 1
+    assert gs._idxs and gs._rows
+    assert all(h is None or h.exp_delta() == alpha
+               for alpha, hs in gs._rows.items() for h in hs)
 
 
 def test_member_negative_unit():

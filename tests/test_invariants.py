@@ -59,15 +59,15 @@ def test_every_imported_name_is_read():
     assert not found, "imported names never read: " + ", ".join(found)
 
 
-# membership that claims success but cancels nothing: reduce then makes
-# no progress, and only its strict-descent check stops the loop
+# cone division that claims a zero remainder but cancels nothing: reduce
+# then makes no progress, and only its strict-descent check stops the loop
 STALLED_REDUCE = """
 import sys
 from diffgb import Poly, RingSpec, reduce
 from diffgb.groebner import PolyIdeal
 
-PolyIdeal.member_with_cofactors = (
-    lambda self, f: [Poly.zero(f.nvars) for _ in self.generators])
+PolyIdeal.divide = lambda self, f: (
+    [Poly.zero(f.nvars) for _ in self.groebner], Poly.zero(f.nvars))
 ring = RingSpec(1)
 try:
     reduce(ring.d(0), [ring.d(0)])
