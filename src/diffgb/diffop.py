@@ -287,7 +287,8 @@ class DiffOp:
         if not self.terms:
             return self
         lead = self.c_delta().lc(self.ring.x_order())
-        return primitive_scale(self.terms.values(), lead) * self
+        c = primitive_scale(self.terms.values(), lead)
+        return DiffOp._make(self.ring, {e: p._scaled(c) for e, p in self.terms.items()})
 
     # -- printing ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from math import gcd
 from operator import add, le, sub
 
 from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices, sub_exp
-from .poly import Poly, _common_den, _lowest, primitive_scale
+from .poly import Poly, _lowest, primitive_scale
 
 
 def divide(f: Poly, gens, order: MonomialOrder):
@@ -23,6 +23,15 @@ def divide(f: Poly, gens, order: MonomialOrder):
     Returns (cofactors, remainder) with f = sum q_i*gens_i + r, no
     monomial of r divisible by any leading monomial of gens, and every
     q_i*gens_i bounded above by the leading monomial of f.
+
+    The division is fraction-free: it keeps integer numerators over one
+    running denominator, and so do the quotients.  A quotient term is
+    written as its integer numerator with the running denominator of
+    the moment, and each quotient is put in lowest terms once, at the
+    end.  When the first divisor is a constant c, its lead divides
+    every monomial, so the result is (f/c, 0, ..., 0) and remainder 0,
+    computed in one scaling; a cone ideal's base is [1] whenever the
+    cone is the unit ideal.
     """
     gens = list(gens)
     if any(g.is_zero() for g in gens):
@@ -32,6 +41,10 @@ def divide(f: Poly, gens, order: MonomialOrder):
     for g in gens:
         ge = g.lm(order)
         heads.append((ge, g._nums[ge]))
+    zero = Poly._make(nv, {})
+    if heads and not any(heads[0][0]):
+        q = f._scaled(Fraction(gens[0]._den, heads[0][1]))
+        return [q] + [zero] * (len(gens) - 1), zero
     key = order.key
 
     # fraction-free working copy: integer numerators over the running
@@ -40,7 +53,7 @@ def divide(f: Poly, gens, order: MonomialOrder):
     # strictly decreases, so each quotient slot is written at most once
     work = dict(f._nums)
     den = f._den
-    quot = [{} for _ in gens]
+    quot = [{} for _ in gens]  # exponent -> (numerator, den at the time)
     rem = {}  # exponent -> (numerator, den when the term left work)
     while work:
         pe = max(work, key=key)
@@ -49,7 +62,8 @@ def divide(f: Poly, gens, order: MonomialOrder):
             if all(map(le, ge, pe)):
                 g = gens[i]
                 qe = tuple(map(sub, pe, ge))
-                quot[i][qe] = Fraction(pc * g._den, den * gc)
+                # the quotient term is pc * g._den / (den * gc)
+                quot[i][qe] = (pc * g._den, den)
                 h = gcd(pc, gc)
                 s, t = gc // h, pc // h
                 if s < 0:
@@ -69,8 +83,18 @@ def divide(f: Poly, gens, order: MonomialOrder):
             rem[pe] = (pc, den)
             del work[pe]
     rem = {e: c * (den // d) for e, (c, d) in rem.items()}
-    return ([Poly._make(nv, *_common_den(q)) for q in quot],
-            _lowest(nv, rem, den))
+    out = []
+    for (_, gc), q in zip(heads, quot):
+        if not q:
+            out.append(zero)
+            continue
+        # den only gains factors, so each term's den divides the last
+        # one's, top; the sign of gc moves to the numerators
+        top = next(reversed(q.values()))[1]
+        if gc < 0:
+            top = -top
+        out.append(_lowest(nv, {e: n * (top // d) for e, (n, d) in q.items()}, top * gc))
+    return out, _lowest(nv, rem, den)
 
 
 def _row_sub(row: dict, q: Poly, other: dict) -> dict:
@@ -112,18 +136,19 @@ def _tracked_groebner(gens, order: MonomialOrder):
     ``Poly``), so a row update multiplies only entries that are there;
     the dense rows of ``len(gens)`` entries are built once, at return.
     Zero entries add nothing to a sum, so A is the same as with dense
-    rows.  Once a constant is in the base, whether an input or a
-    remainder, no further pair is popped (the unit exit): every later
-    S-polynomial divides to zero by the constant and pushes nothing,
-    and minimalization keeps only the first constant with its row, so
-    (G, A) is the same as when the queue is run to the end.
+    rows.  A pair's row is built only when its S-polynomial leaves a
+    remainder, the one case that pushes it.  Once a constant is in the
+    base, whether an input or a remainder, no further pair is popped
+    (the unit exit): every later S-polynomial divides to zero by the
+    constant and pushes nothing, and minimalization keeps only the
+    first constant with its row, so (G, A) is the same as when the
+    queue is run to the end.
     """
     gens = list(gens)
     cols = len(gens)
     if cols == 0:
         return [], []
     nv = gens[0].nvars
-    one = Fraction(1)
     unit = (0,) * nv
 
     basis: list[Poly] = []
@@ -131,10 +156,11 @@ def _tracked_groebner(gens, order: MonomialOrder):
     leads: list[tuple] = []
 
     def push(p: Poly, row: dict[int, Poly]) -> None:
-        inv = one / p.lc(order)
-        basis.append(p * inv)
-        exprs.append({k: q * inv for k, q in row.items()})
-        leads.append(p.lm(order))
+        lead = p.lm(order)
+        inv = Fraction(p._den, p._nums[lead])
+        basis.append(p._scaled(inv))
+        exprs.append({k: q._scaled(inv) for k, q in row.items()})
+        leads.append(lead)
 
     for k, g in enumerate(gens):
         if g:
@@ -147,13 +173,12 @@ def _tracked_groebner(gens, order: MonomialOrder):
             continue  # coprime leads: S-polynomial reduces to zero
         mi = Poly._make(nv, {sub_exp(l, ei): 1})
         mj = Poly._make(nv, {sub_exp(l, ej): 1})
-        s = mi * basis[i] - mj * basis[j]
-        row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
-        q, r = divide(s, basis, order)
-        for t, qt in enumerate(q):
-            if qt:
-                row = _row_sub(row, qt, exprs[t])
+        q, r = divide(mi * basis[i] - mj * basis[j], basis, order)
         if r:
+            row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
+            for t, qt in enumerate(q):
+                if qt:
+                    row = _row_sub(row, qt, exprs[t])
             push(r, row)
             if leads[-1] == unit:
                 break
@@ -190,7 +215,7 @@ def _normalize_vector(vec, order: MonomialOrder):
     if last is None:
         return None
     scale = primitive_scale(vec, -last._nums[last.lm(order)])
-    return tuple(p * scale for p in vec)
+    return tuple(p._scaled(scale) for p in vec)
 
 
 def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:

@@ -92,12 +92,37 @@ def critical_pairs(leads, lcm, key):
         yield i, j, l
 
 
+class _KeyMemo(dict):
+    """Exponent -> sort key memo of one order; a miss computes the key
+    and stores it, starting over at ``_KEY_CACHE_LIMIT`` entries."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, e):
+        if len(self) >= _KEY_CACHE_LIMIT:
+            self.clear()
+        k = self[e] = self.compute(e)
+        return k
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A term order on N^k: lex, deglex or degrevlex.
 
     ``prec`` lists variable indices from most to least significant.
     ``None`` means declaration order (index 0 most significant).
+
+    ``key(e)`` is the sort key of an exponent; a larger key means a
+    larger exponent.  It is the ``__getitem__`` of the order's memo
+    ``_key_cache``, bound per instance, so a memo hit, the common case
+    of ``max(..., key=order.key)``, runs no Python frame; a miss
+    computes the key with ``_compute_key``.  The memo is not a field,
+    so eq and hash stay structural, and a copy or an unpickled order is
+    rebuilt from ``(kind, prec)`` with a memo of its own.
     """
 
     kind: str = "deglex"
@@ -111,8 +136,12 @@ class MonomialOrder:
             if sorted(p) != list(range(len(p))):
                 raise ValueError(f"precedence {p} is not a permutation")
             object.__setattr__(self, "prec", p)
-        # memo for key(); not a field, so eq/hash stay structural
-        object.__setattr__(self, "_key_cache", {})
+        memo = _KeyMemo(self._compute_key)
+        object.__setattr__(self, "_key_cache", memo)
+        object.__setattr__(self, "key", memo.__getitem__)
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.prec)
 
     def _indices(self, k: int):
         if self.prec is None:
@@ -121,23 +150,14 @@ class MonomialOrder:
             raise ValueError(f"precedence has {len(self.prec)} entries, exponent has {k}")
         return self.prec
 
-    def key(self, e: ExpVec):
-        """Sort key; larger key means larger exponent."""
-        k = self._key_cache.get(e)
-        if k is not None:
-            return k
+    def _compute_key(self, e: ExpVec):
         idx = self._indices(len(e))
         if self.kind == "lex":
-            k = tuple(e[i] for i in idx)
-        elif self.kind == "deglex":
-            k = (sum(e), tuple(e[i] for i in idx))
-        else:
-            # degrevlex: grade first, then the *smallest* trailing part wins
-            k = (sum(e), tuple(-e[i] for i in reversed(list(idx))))
-        if len(self._key_cache) >= _KEY_CACHE_LIMIT:
-            self._key_cache.clear()
-        self._key_cache[e] = k
-        return k
+            return tuple(e[i] for i in idx)
+        if self.kind == "deglex":
+            return (sum(e), tuple(e[i] for i in idx))
+        # degrevlex: grade first, then the *smallest* trailing part wins
+        return (sum(e), tuple(-e[i] for i in reversed(list(idx))))
 
     def compare(self, a: ExpVec, b: ExpVec) -> int:
         _same_length(a, b)

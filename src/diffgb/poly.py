@@ -269,6 +269,27 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def _scaled(self, q) -> "Poly":
+        """``self * q`` for a nonzero rational ``q`` (an ``int`` or a
+        ``Fraction``), with no constant ``Poly`` and no exponent sums.
+
+        Both factors are in lowest terms, so the gcd of the product's
+        numerators and denominator is gcd(q's numerator, ``_den``) times
+        gcd(q's denominator, the numerators).  Both are divided out
+        before multiplying, and the result is canonical as built."""
+        n, d = q.numerator, q.denominator
+        if not self._nums or n == d:  # zero, or q == 1
+            return self
+        g = gcd(n, self._den)
+        h = gcd(d, *self._nums.values()) if d != 1 else 1
+        n //= g
+        den = self._den // g * (d // h)
+        if h == 1:
+            nums = {e: c * n for e, c in self._nums.items()}
+        else:
+            nums = {e: c // h * n for e, c in self._nums.items()}
+        return Poly._make(self.nvars, nums, den)
+
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -320,7 +341,7 @@ class Poly:
         return self.leading(order)[1]
 
     def monic(self, order: MonomialOrder) -> "Poly":
-        return self * Fraction(self._den, self._nums[self.lm(order)])
+        return self._scaled(Fraction(self._den, self._nums[self.lm(order)]))
 
     def content(self) -> Fraction:
         """Positive rational g with self/g integer-primitive; 1 for zero."""
@@ -330,7 +351,7 @@ class Poly:
         """Integer coefficients, content 1, positive leading coefficient."""
         if not self._nums:
             return self
-        return self * primitive_scale((self,), self._nums[self.lm(order)])
+        return self._scaled(primitive_scale((self,), self._nums[self.lm(order)]))
 
     # -- printing ------------------------------------------------------
 

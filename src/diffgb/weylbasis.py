@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, minimal_indices
-from .poly import Poly, _common_den, _lowest, primitive_scale
+from .poly import Poly, _lowest, primitive_scale
 
 
 class WeylExp(NamedTuple):
@@ -218,7 +218,9 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
                 # x^xshift d^dshift * g leads at the step's monomial
                 pd, gc, terms = shifted(k, dshift)
                 if quotients:
-                    cofd[i].setdefault(dshift, {})[xshift] = Fraction(c * pd, den * gc)
+                    # the quotient term is c * pd / (den * gc); every term
+                    # of one d-shift reads the same memo entry, so one gc
+                    cofd[i].setdefault(dshift, (gc, {}))[1][xshift] = (c * pd, den)
                 h = gcd(c, gc)
                 s, t = gc // h, c // h
                 if s < 0:
@@ -242,16 +244,24 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
         for b, xs in remd.items()})
     if not quotients:
         return None, rem
-    # strict descent writes each (d, x) slot once, with a nonzero entry
-    cof = [DiffOp._make(p.ring, {b: Poly._make(nv, *_common_den(xs)) for b, xs in d.items()})
-           for d in cofd]
+    # strict descent writes each (d, x) slot once, with a nonzero entry;
+    # den only gains factors, so each term's den divides the last one's
+    cof = []
+    for blocks in cofd:
+        terms = {}
+        for b, (gc, xs) in blocks.items():
+            top = next(reversed(xs.values()))[1]
+            if gc < 0:
+                top = -top
+            terms[b] = _lowest(nv, {x: n * (top // d) for x, (n, d) in xs.items()}, top * gc)
+        cof.append(DiffOp._make(p.ring, terms))
     return cof, rem
 
 
 def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
     c = primitive_scale(p.terms.values(), _lead_full(p, worder)[1])
-    return DiffOp._make(p.ring, {e: pl * c for e, pl in p.terms.items()})
+    return DiffOp._make(p.ring, {e: pl._scaled(c) for e, pl in p.terms.items()})
 
 
 def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,

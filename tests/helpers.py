@@ -1,6 +1,8 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles deliberately avoid the code paths they are used to check:
+the division oracles cancel one leading term at a time in ``Poly`` and
+``DiffOp`` arithmetic and record each quotient monomial as they go,
 naive Buchberger works with a FIFO queue and no pair criteria (in the
 Weyl algebra too, through the public S-operator and division), the
 membership oracle is dense linear algebra over the rationals, the
@@ -151,25 +153,59 @@ def assert_canonical_op(op):
 
 # -- polynomial division and Buchberger, the slow way ------------------------
 
-def naive_divide(f, gens, order):
-    """Remainder of f under repeated leading-term elimination."""
+def naive_division(f, gens, order):
+    """Quotients and remainder of f under repeated leading-term
+    elimination: f = sum q_i*gens_i + r.  Each step takes the first
+    divisor whose leading monomial divides the current one, as
+    ``divide`` does, and records its monomial in that quotient."""
+    qs = [Poly.zero(f.nvars) for _ in gens]
     rem = Poly.zero(f.nvars)
     cur = f
     while not cur.is_zero():
         e, c = cur.leading(order)
-        hit = False
-        for g in gens:
+        for i, g in enumerate(gens):
             ge, gc = g.leading(order)
             if divides(ge, e):
                 mono = Poly.monomial(f.nvars, sub_exp(e, ge), c / gc)
+                qs[i] = qs[i] + mono
                 cur = cur - mono * g
-                hit = True
                 break
-        if not hit:
+        else:
             mono = Poly.monomial(f.nvars, e, c)
             rem = rem + mono
             cur = cur - mono
-    return rem
+    return qs, rem
+
+
+def naive_divide(f, gens, order):
+    """Remainder of f under repeated leading-term elimination."""
+    return naive_division(f, gens, order)[1]
+
+
+def naive_division_weyl(p, gens, worder):
+    """``naive_division`` in the Weyl algebra: the leading monomial is
+    ``exp_full``'s, and each step subtracts the product of its
+    quotient monomial and the divisor formed by ``slow_mul``."""
+    ring = p.ring
+    qs = [DiffOp.zero(ring) for _ in gens]
+    rem = DiffOp.zero(ring)
+    cur = p
+    while not cur.is_zero():
+        w = exp_full(cur, worder)
+        c = cur.terms[w.d].terms[w.x]
+        for i, g in enumerate(gens):
+            h = exp_full(g, worder)
+            if divides(h.x, w.x) and divides(h.d, w.d):
+                t = DiffOp.term(ring, sub_exp(w.d, h.d), Poly.monomial(
+                    ring.nvars, sub_exp(w.x, h.x), c / g.terms[h.d].terms[h.x]))
+                qs[i] = qs[i] + t
+                cur = cur - slow_mul(t, g)
+                break
+        else:
+            t = DiffOp.term(ring, w.d, Poly.monomial(ring.nvars, w.x, c))
+            rem = rem + t
+            cur = cur - t
+    return qs, rem
 
 
 def naive_reduced_groebner(gens, order):

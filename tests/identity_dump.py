@@ -1,0 +1,149 @@
+"""One sha256 over the benchmark pools' outputs, for byte-identity checks.
+
+A change that claims to leave every output alone runs this script in
+both checkouts and compares the last line:
+
+    python3 tests/identity_dump.py
+
+It imports ``diffgb`` from the ``src`` directory and the pools from the
+``perfbench`` directory of the checkout it sits in, and changes nothing
+there.  Standard library only.  The hash covers:
+
+- the reference-costed complete-pool inputs at their caps: each base's
+  operators and ``stats``, at each stair point the cone's reduced base
+  G, its expression matrix A and ``syzygies``, the flatness and
+  finiteness flags, and each input's ``reduce(tail=True)`` trace; a cap
+  hit is hashed as its message;
+- the member-pool bases: their frozen queries through ``member`` and
+  through ``reduce(tail=True)``, every cofactor, remainder and step count;
+- the reference-costed weyl-pool inputs under the deglex and the lex
+  x-order (deglex d-order, cap 20): each base, its ``stats`` and the
+  ``divide_weyl`` quotients and remainder of every input;
+- the cli-batch invocations: exit code, stdout and stderr, with the
+  temporary problem directory replaced by a placeholder.
+
+Per-section digests and counts go to stderr, the overall sha256 to stdout.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import diffgb as dg  # noqa: E402
+from perfbench import corpus, workloads  # noqa: E402
+
+WEYL_CAP = 20
+
+
+def _trace(tr) -> list:
+    return [[str(c) for c in tr.cofactors], str(tr.remainder), tr.steps]
+
+
+def complete_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.FIXED + corpus.complete_pool()}
+    caps = 0
+    for i, (_, cost) in sorted(ref["complete"].items()):
+        if cost is None:
+            continue
+        prob = pool[i]
+        ring, gens = rings.gens(prob)
+        try:
+            b = dg.complete(gens, cap=prob["cap"])
+        except dg.CompletionCapExceeded as e:
+            caps += 1
+            yield [i, "cap", str(e)]
+            continue
+        cones = []
+        for a in b.stair:
+            cone = b.cones[a]
+            basis = (cone.groebner, cone.expression_matrix)
+            syz = dg.syzygies(cone.generators, ring.x_order(), _basis=basis)
+            cones.append([list(a), [str(g) for g in basis[0]],
+                          [[str(x) for x in row] for row in basis[1]],
+                          [[str(x) for x in row] for row in syz]])
+        flat, fin = dg.flatness_report(b), dg.finiteness_test(b)
+        yield [i, [str(p) for p in b.ops], b.stats, cones,
+               [flat.globally_flat, flat.maximal_set_known, fin.finite,
+                [[w.coordinate, w.degree, w.unit] for w in fin.witnesses]],
+               [_trace(dg.reduce(g, b.genset, tail=True)) for g in gens]]
+    print(f"complete: {caps} cap hits", file=sys.stderr)
+
+
+def member_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.complete_pool()}
+    for i in sorted(ref["member"]):
+        prob = pool[i]
+        ring, gens = rings.gens(prob)
+        b = dg.complete(gens, cap=prob["cap"])
+        combos, randoms = workloads.member_queries(prob)
+        queries = []
+        for qs in combos:
+            p = ring.embed(0)
+            for q, g in zip(qs, gens):
+                p = p + rings.op(ring, q) * g
+            queries.append(p)
+        queries += [rings.op(ring, q) for q in randoms]
+        for p in queries:
+            ok, tr = dg.member(p, b)
+            yield [i, ok, tr and _trace(tr),
+                   _trace(dg.reduce(p, b.genset, tail=True))]
+
+
+def weyl_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.weyl_pool()}
+    caps = 0
+    for kind in ("deglex", "lex"):
+        worder = dg.WeylOrder(dg.MonomialOrder(kind), dg.MonomialOrder("deglex"))
+        for i, (_, cost) in sorted(ref["weyl"].items()):
+            if cost is None:
+                continue
+            _, gens = rings.gens(pool[i])
+            try:
+                w = dg.buchberger_weyl(gens, worder, cap=WEYL_CAP)
+            except dg.CompletionCapExceeded as e:
+                caps += 1
+                yield [kind, i, "cap", str(e)]
+                continue
+            divs = []
+            for g in gens:
+                q, r = dg.divide_weyl(g, list(w.ops), worder)
+                divs.append([[str(x) for x in q], str(r)])
+            yield [kind, i, [str(g) for g in w.ops], w.stats, divs]
+    print(f"weyl: {caps} cap hits", file=sys.stderr)
+
+
+def cli_section(ref, rings):
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = workloads.CliBatch(ref, Path(tmp))
+        tasks = batch.tasks(sorted(ref["cli"]))
+        here = str(next(Path(tmp).iterdir()))
+        for t in tasks:
+            code, out, err = t.fn()
+            yield [t.tid, code, out.replace(here, "<dir>"), err.replace(here, "<dir>")]
+
+
+def main() -> int:
+    ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    total = hashlib.sha256()
+    for name, section in (("complete", complete_section), ("member", member_section),
+                          ("weyl", weyl_section), ("cli", cli_section)):
+        h = hashlib.sha256()
+        count = 0
+        for item in section(ref, workloads.Rings()):
+            h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+            count += 1
+        print(f"{name}: {count} results, sha256 {h.hexdigest()}", file=sys.stderr)
+        total.update(h.digest())
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,19 +1,22 @@
 """Commutative bases: division, Buchberger, membership, syzygies."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from diffgb import MonomialOrder, Poly, PolyIdeal, RingSpec, buchberger, divide, syzygies
 from diffgb import groebner
 from diffgb.groebner import _normalize_vector, _tracked_groebner
-from diffgb.orders import deglex, lex
+from diffgb.orders import deglex, degrevlex, lex
 from helpers import (
     assert_canonical_poly,
     integer_primitive,
     linear_membership,
     naive_divide,
+    naive_division,
     naive_reduced_groebner,
     parse_op,
     rand_poly,
@@ -62,6 +65,40 @@ def test_divide_matches_naive_oracle_on_rational_divisors_fuzz():
             if q:
                 assert o.compare((q * g).lm(o), top) <= 0
         assert_canonical_poly(r)
+
+
+CONSTANTS = [Fraction(2), Fraction(-1), Fraction(-3, 2)]
+
+
+def test_divide_quotients_match_the_recording_oracle_fuzz():
+    # rational divisors of both lead signs; every fourth list is one
+    # constant, every fourth one has a constant among other divisors,
+    # and every fifth dividend is zero
+    rng = random.Random(71)
+    for k in range(160):
+        o = rng.choice([deglex(), lex(), degrevlex()])
+        nv = rng.randint(1, 3)
+        gens = [rand_qpoly(rng, nv, 2, 3) for _ in range(rng.randint(1, 3))]
+        c = Poly.constant(nv, CONSTANTS[k % 3])
+        if k % 4 == 1:
+            gens = [c]
+        elif k % 4 == 2:
+            gens.insert(rng.randrange(len(gens) + 1), c)
+        f = Poly.zero(nv) if k % 5 == 0 else rand_qpoly(rng, nv, 4, 5)
+        qs, r = divide(f, gens, o)
+        assert (qs, r) == naive_division(f, gens, o)
+        for p in qs + [r]:
+            assert_canonical_poly(p)
+
+
+@pytest.mark.parametrize("c", CONSTANTS)
+def test_divide_by_a_constant_scales_the_dividend(c):
+    f = Poly(2, {(2, 1): Fraction(7, 3), (0, 1): -4, (0, 0): Fraction(5, 6)})
+    for g in (f, Poly.zero(2)):
+        qs, r = divide(g, [Poly.constant(2, c), X1 + 1], deglex())
+        assert qs == [g * (1 / c), Poly.zero(2)] and r == Poly.zero(2)
+        for p in qs + [r]:
+            assert_canonical_poly(p)
 
 
 def test_divide_known_remainder_zero():
@@ -380,6 +417,23 @@ def test_tracked_groebner_golden_expression_matrices(kind, gens, basis, rows):
     G, A = _tracked_groebner(_cone_polys(gens), MonomialOrder(kind))
     assert [str(g) for g in G] == basis
     assert [[str(a) for a in row] for row in A] == rows
+
+
+# Expression matrices and syzygy rows of 30 seeded lists in three
+# variables, ten per order, recorded before the division kernels kept
+# their quotients as integers.  A is not unique: it depends on the
+# pair order and on every row update, and each delta base is built on
+# it, so any change to these entries is a change of output.
+GOLDEN = json.loads((Path(__file__).parent / "groebner_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{c['order']}-{k}" for k, c in enumerate(GOLDEN)])
+def test_expression_matrices_and_syzygies_match_the_golden_file(case):
+    order, gens = MonomialOrder(case["order"]), _cone_polys(case["gens"])
+    G, A = _tracked_groebner(gens, order)
+    assert [str(g) for g in G] == case["G"]
+    assert [[str(a) for a in row] for row in A] == case["A"]
+    assert [[str(a) for a in row] for row in syzygies(gens, order)] == case["syzygies"]
 
 
 @pytest.mark.parametrize("kind, gens", [

@@ -1,6 +1,8 @@
 """Monomial orders: comparison axioms, exponent helpers and the
 critical-pair queue."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -188,6 +190,19 @@ def test_key_cache_starts_over_at_its_limit(monkeypatch):
                 assert o.key(e) == want[e]
                 assert len(o._key_cache) <= 5
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda o: pickle.loads(pickle.dumps(o))])
+def test_copies_of_an_order_keep_their_own_key_cache(clone):
+    for o in (MonomialOrder("lex"), MonomialOrder("degrevlex", (1, 0))):
+        o.key((1, 2))
+        c = clone(o)
+        assert c == o and hash(c) == hash(o) and c.prec == o.prec
+        assert c._key_cache is not o._key_cache
+        assert c.key((3, 0)) == o.key((3, 0)) and c.key((1, 2)) == o.key((1, 2))
+        c.key((5, 5))
+        assert (5, 5) in c._key_cache and (5, 5) not in o._key_cache
 
 
 def _run_with_appends(pairs, start, extra, seed):

@@ -9,7 +9,7 @@ cases in a few seconds.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffgb import (DiffOp, GeneratorSet, Poly, PolyIdeal, ProblemFile, RingSpec, divide,
@@ -59,6 +59,27 @@ def test_arithmetic_matches_the_fraction_dict_oracle(a, b):
                       (-p, {e: -c for e, c in a.items()}), (p * q, oracle_mul(a, b))):
         assert dict(got.terms) == want
         assert_canonical_poly(got)
+
+
+# signed rationals up to 2^100 over denominators up to 2^80, and ints
+big = st.integers(-(1 << 100), 1 << 100)
+scalars = st.one_of(big.filter(bool), st.builds(Fraction, big.filter(bool),
+                                                 st.integers(1, 1 << 80)))
+big_polys = st.dictionaries(exps, st.builds(Fraction, big, st.integers(1, 1 << 40)),
+                            max_size=4).map(lambda d: Poly(NV, d))
+
+
+@PROPS
+@given(st.one_of(polys, big_polys), scalars)
+# q's numerator shares a factor with the denominator, q's denominator
+# with every numerator, and both at once
+@example(Poly(NV, {(1, 0): Fraction(1, 3)}), -3)
+@example(Poly(NV, {(1, 0): 4, (0, 0): 6}), Fraction(-5, 2))
+@example(Poly(NV, {(1, 1): Fraction(2, 9), (0, 2): Fraction(-4, 9)}), Fraction(27, 4))
+def test_scaled_is_the_product_by_a_constant(p, q):
+    got = p._scaled(q)
+    assert got == p * q
+    assert_canonical_poly(got)
 
 
 @PROPS

@@ -32,6 +32,7 @@ from helpers import (
     example6_ops,
     integer_primitive,
     naive_buchberger_weyl,
+    naive_division_weyl,
     parse_op,
     rand_op,
     rand_poly,
@@ -146,6 +147,27 @@ def test_division_identity_on_rational_operators_fuzz():
             assert_canonical_op(q)
         assert rebuilt == p
         assert_canonical_op(rem)
+
+
+def test_division_quotients_match_the_recording_oracle_fuzz():
+    # as the commutative test: both lead signs, a lone constant, a
+    # constant among other divisors, and a zero dividend
+    rng = random.Random(72)
+    consts = [Fraction(2), Fraction(-1), Fraction(-3, 2)]
+    for k in range(60):
+        w = rng.choice([W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex"))])
+        r = rng.choice([ring1(), ring2()])
+        gens = [rand_qop(rng, r) for _ in range(rng.randint(1, 3))]
+        c = r.embed(consts[k % 3])
+        if k % 4 == 1:
+            gens = [c]
+        elif k % 4 == 2:
+            gens.insert(rng.randrange(len(gens) + 1), c)
+        p = r.embed(0) if k % 5 == 0 else rand_qop(rng, r, max_order=3, max_terms=4)
+        qs, rem = divide_weyl(p, gens, w)
+        assert (qs, rem) == naive_division_weyl(p, gens, w)
+        for q in qs + [rem]:
+            assert_canonical_op(q)
 
 
 def test_division_bounds_cofactors_fuzz():
