@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 
 from .diffop import DiffOp, RingSpec
 from .groebner import PolyIdeal, syzygies
-from .orders import ExpVec, divides, lcm_exp, minimal_indices, sub_exp
+from .orders import ExpVec, divides, lcm_exp, minimal_indices
 from .poly import Poly
 
 
@@ -30,11 +31,13 @@ class GeneratorSet:
     The set only grows: a generator is appended at the end and never
     removed or moved.  So a participant index tuple always names the
     same leading coefficients in the same order, and a cone ideal
-    cached under it stays valid however many generators follow.  The
-    participants and the cone rows of an exponent are cached under the
-    exponent, and an append forgets them for every exponent the new
-    generator's exponent divides: those are the exponents whose
-    participants it changes.
+    cached under it stays valid however many generators follow.  Three
+    memos are kept under the exponent: the participants, the cone rows
+    and the S-operators (of an lcm target).  An append forgets their
+    entries for every exponent the new generator's exponent divides:
+    those are the exponents whose participants it changes.  At any
+    other exponent the S-operators stay what they were, except that
+    their ``lam`` is one zero entry short per generator appended since.
     """
 
     def __init__(self, ops, ring: RingSpec | None = None):
@@ -47,6 +50,7 @@ class GeneratorSet:
         self._cones: dict[tuple[int, ...], PolyIdeal] = {}
         self._idxs: dict[ExpVec, tuple[int, ...]] = {}
         self._rows: dict[ExpVec, list] = {}
+        self._sops: dict[ExpVec, tuple] = {}
         for p in ops:
             self._append(p)
 
@@ -60,6 +64,7 @@ class GeneratorSet:
         self.exps += (e,)
         self._idxs = {a: v for a, v in self._idxs.items() if not divides(e, a)}
         self._rows = {a: v for a, v in self._rows.items() if not divides(e, a)}
+        self._sops = {a: v for a, v in self._sops.items() if not divides(e, a)}
 
     @classmethod
     def wrap(cls, f) -> "GeneratorSet":
@@ -103,7 +108,7 @@ class GeneratorSet:
             h = DiffOp.zero(self.ring)
             for a, i in zip(cone.expression_matrix[j], idxs):
                 if a:
-                    shift = DiffOp._make(self.ring, {sub_exp(alpha, self.exps[i]): a})
+                    shift = DiffOp._make(self.ring, {tuple(map(sub, alpha, self.exps[i])): a})
                     h = h + shift * self.ops[i]
             rows[j] = h
         return rows[j]
@@ -136,14 +141,15 @@ def is_reduced(p: DiffOp, f) -> bool:
 
 @dataclass
 class ReductionTrace:
-    """Certificate P = sum cofactors[i] * F[i] + remainder."""
+    """Certificate P = sum cofactors[i] * F[i] + remainder; cofactors is
+    None for a reduction that was asked not to lift them."""
 
-    cofactors: tuple[DiffOp, ...]
+    cofactors: tuple[DiffOp, ...] | None
     remainder: DiffOp
     steps: int = 0
 
 
-def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
+def reduce(p: DiffOp, f, tail: bool = False, _lift: bool = True) -> ReductionTrace:
     """Deterministic division of p by the generator set f.
 
     Postconditions: the trace identity holds exactly, the remainder is
@@ -160,6 +166,10 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
     exactly sum_k q_k d^(alpha - exp_k) F_k for the cofactors q = u*A
     the trace records, but the u_j are small (often monomials) and a
     polynomial times an operator needs no Leibniz rule.
+
+    With ``_lift`` false the cofactors are not lifted and the trace's
+    ``cofactors`` is None; remainder and steps are the same.  The base
+    check reads only the remainder, so it reduces that way.
     """
     f = GeneratorSet.wrap(f)
     ring = f.ring
@@ -168,7 +178,7 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
     order = ring.order_delta
     # cofactor terms per generator; alpha descends strictly, so a step
     # never writes a d-exponent that an earlier step wrote
-    cof = [{} for _ in f.ops]
+    cof = [{} for _ in f.ops] if _lift else None
     rem = DiffOp.zero(ring)
     cur = p
     steps = 0
@@ -184,16 +194,16 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
             us, r = cone.divide(cur.c_delta())
             if not r:
                 steps += 1
-                for q, i in zip(cone.lift(us), idxs):
-                    if q:
-                        cof[i][sub_exp(alpha, f.exps[i])] = q
+                if _lift:
+                    for q, i in zip(cone.lift(us), idxs):
+                        if q:
+                            cof[i][tuple(map(sub, alpha, f.exps[i]))] = q
                 terms = dict(cur.terms)
                 for j, u in enumerate(us):
                     if not u:
                         continue
                     for e, c in f.cone_row(alpha, j).terms.items():
-                        s = terms.pop(e, None)
-                        s = -(u * c) if s is None else s - u * c
+                        s = Poly._minus_product(terms.pop(e, None), u, c)
                         if s:
                             terms[e] = s
                 cur = DiffOp._make(ring, terms)
@@ -205,7 +215,9 @@ def reduce(p: DiffOp, f, tail: bool = False) -> ReductionTrace:
         rem = rem + head
         cur = cur - head
         steps += 1
-    return ReductionTrace(tuple(DiffOp._make(ring, c) for c in cof), rem, steps)
+    if _lift:
+        cof = tuple(DiffOp._make(ring, c) for c in cof)
+    return ReductionTrace(cof, rem, steps)
 
 
 def lcm_targets(f) -> list[ExpVec]:
@@ -218,10 +230,11 @@ def lcm_targets(f) -> list[ExpVec]:
     return sorted(targets, key=f.ring.order_delta.key)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SDeltaOp:
     """S-operator at alpha: the syzygy vector over the full generator
-    list and the resulting combination sum lam[k] d^(alpha-exp_k) F[k]."""
+    list and the resulting combination sum lam[k] d^(alpha-exp_k) F[k].
+    Frozen, because a generator set shares it between calls."""
 
     alpha: ExpVec
     lam: tuple[Poly, ...]
@@ -231,9 +244,22 @@ class SDeltaOp:
 def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     """All S-operators at the lcm target alpha, one per syzygy generator
     of the covering leading coefficients.  Nonzero results drop strictly
-    below alpha in the order."""
+    below alpha in the order.
+
+    The generator set keeps them under alpha until an append changes
+    alpha's participants; a later call gets a new list of the same
+    operators, each ``lam`` padded with a zero per generator appended
+    since (those do not cover alpha)."""
     f = GeneratorSet.wrap(f)
     ring = f.ring
+    sops = f._sops.get(alpha)
+    if sops is not None:
+        pad = len(f.ops) - len(sops[0].lam) if sops else 0
+        if pad:
+            zeros = (Poly.zero(ring.nvars),) * pad
+            sops = f._sops[alpha] = tuple(
+                SDeltaOp(alpha, s.lam + zeros, s.operator) for s in sops)
+        return list(sops)
     # alpha is an lcm target iff the exponents dividing it have lcm alpha
     idxs = f.participants(alpha) if len(alpha) == ring.n else ()
     if not idxs or tuple(map(max, zip(*(f.exps[i] for i in idxs)))) != alpha:
@@ -250,10 +276,12 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
             lam[i] = part[pos]
             if part[pos].is_zero():
                 continue
-            op = op + DiffOp._make(ring, {sub_exp(alpha, f.exps[i]): part[pos]}) * f.ops[i]
+            shift = DiffOp._make(ring, {tuple(map(sub, alpha, f.exps[i])): part[pos]})
+            op = op + shift * f.ops[i]
         if not op.is_zero() and ring.order_delta.compare(op.exp_delta(), alpha) >= 0:
             raise AssertionError(f"S-operator at {alpha} does not drop below it")
         out.append(SDeltaOp(alpha, tuple(lam), op))
+    f._sops[alpha] = tuple(out)
     return out
 
 
@@ -264,7 +292,7 @@ def _first_failure(f: GeneratorSet, stats: dict):
             stats["s_operators"] += 1
             if sop.operator.is_zero():
                 continue
-            tr = reduce(sop.operator, f)
+            tr = reduce(sop.operator, f, _lift=False)
             stats["reductions"] += 1
             stats["reduction_steps"] += tr.steps
             if not tr.remainder.is_zero():
@@ -307,11 +335,14 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
 
     The input is copied once into a generator set that every addition
     extends in place, so the cone ideals computed so far, with their
-    Groebner bases, serve every later round.  At the end only the cones
-    at the stair are kept, the ones the base reports, and the memos of
-    participants and cone rows are emptied, so a finished base does not
-    hold the data of every exponent the completion visited; ``member``
-    fills them again for the exponents its queries reach.
+    Groebner bases, serve every later round, and so do the S-operators
+    of every target that no addition reaches.  At the end only two
+    kinds of cones are kept: those at the stair, which the base reports,
+    and those at the largest pure power of each direction, which
+    ``finiteness_test`` reads.  The memos of participants, cone rows and
+    S-operators are emptied, so a finished base does not hold the data
+    of every exponent the completion visited; ``member`` fills the first
+    two again for the exponents its queries reach.
 
     Raises CompletionCapExceeded after ``cap`` additions, and ValueError
     for a negative cap before any work.
@@ -335,9 +366,14 @@ def complete(f, cap: int = 10000) -> DeltaBasis:
         stats["additions"] += 1
     stair = minimal_stair(gs.exps, ring.order_delta)
     live = {gs.participants(a) for a in stair}
+    for i in range(ring.n):
+        # pure powers of d_i differ only at i, so the tuple max is the largest
+        pure = [e for e in gs.exps if not any(e[:i] + e[i + 1:])]
+        if pure:
+            live.add(gs.participants(max(pure)))
     gs._cones = {k: v for k, v in gs._cones.items() if k in live}
     cones = {a: gs.cone_ideal(a) for a in stair}
-    gs._idxs, gs._rows = {}, {}
+    gs._idxs, gs._rows, gs._sops = {}, {}, {}
     return DeltaBasis(gs.ops, ring, stair, cones, stats, gs)
 
 

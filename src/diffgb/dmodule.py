@@ -82,22 +82,21 @@ def finiteness_test(b: DeltaBasis) -> FinitenessReport:
     d-power in the exponent set whose cone ideal is all of H.
 
     The chain of cone ideals along a coordinate axis stabilizes at the
-    largest pure-power degree present in the base, so testing the ideal
-    of all pure-power leading coefficients decides the existential."""
+    largest pure-power degree D present in the base, so testing the
+    cone ideal at D*e_i, whose participants are all the pure powers of
+    d_i, decides the existential.  That cone is the base's own, which
+    ``complete`` keeps with its reduced base."""
     ring = b.ring
-    xo = ring.x_order()
+    gs = b.genset
     witnesses = []
     for i in range(ring.n):
-        pure = [
-            p for p in b.ops
-            if all(k == 0 for j, k in enumerate(p.exp_delta()) if j != i)
-        ]
+        pure = [e for e in gs.exps if not any(e[:i] + e[i + 1:])]
         if not pure:
-            witnesses.append(CoordinateWitness(i, None, PolyIdeal((), xo), False))
+            witnesses.append(CoordinateWitness(i, None, PolyIdeal((), ring.x_order()), False))
             continue
-        degree = max(p.exp_delta()[i] for p in pure)
-        cert = PolyIdeal(tuple(p.c_delta() for p in pure), xo)
-        witnesses.append(CoordinateWitness(i, degree, cert, cert.is_unit()))
+        top = max(pure)  # pure powers of d_i differ only at i
+        cert = gs.cone_ideal(top)
+        witnesses.append(CoordinateWitness(i, top[i], cert, cert.is_unit()))
     return FinitenessReport(all(w.unit for w in witnesses), witnesses)
 
 

@@ -13,11 +13,11 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le, sub
 
-from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices, sub_exp
+from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices
 from .poly import Poly, _lowest, primitive_scale
 
 
-def divide(f: Poly, gens, order: MonomialOrder):
+def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     """Multivariate division of f by an ordered list of nonzero divisors.
 
     Returns (cofactors, remainder) with f = sum q_i*gens_i + r, no
@@ -30,20 +30,24 @@ def divide(f: Poly, gens, order: MonomialOrder):
     the moment, and each quotient is put in lowest terms once, at the
     end.  When the first divisor is a constant c, its lead divides
     every monomial, so the result is (f/c, 0, ..., 0) and remainder 0,
-    computed in one scaling; a cone ideal's base is [1] whenever the
-    cone is the unit ideal.
+    computed in one scaling (none when c is 1); a cone ideal's base is
+    [1] whenever the cone is the unit ideal.
+
+    ``_heads`` is the list of ``(lm(g), numerator of lc(g))`` for the
+    divisors, in order, when the caller already holds it (a Groebner
+    loop or a cached base); the divisors are then taken to be nonzero.
     """
     gens = list(gens)
-    if any(g.is_zero() for g in gens):
-        raise ValueError("division by a zero polynomial")
+    heads = _heads
+    if heads is None:
+        if any(g.is_zero() for g in gens):
+            raise ValueError("division by a zero polynomial")
+        heads = [(e, g._nums[e]) for g in gens for e in (g.lm(order),)]
     nv = f.nvars
-    heads = []
-    for g in gens:
-        ge = g.lm(order)
-        heads.append((ge, g._nums[ge]))
     zero = Poly._make(nv, {})
     if heads and not any(heads[0][0]):
-        q = f._scaled(Fraction(gens[0]._den, heads[0][1]))
+        d, c = gens[0]._den, heads[0][1]
+        q = f if d == c else f._scaled(Fraction(d, c))
         return [q] + [zero] * (len(gens) - 1), zero
     key = order.key
 
@@ -154,13 +158,16 @@ def _tracked_groebner(gens, order: MonomialOrder):
     basis: list[Poly] = []
     exprs: list[dict[int, Poly]] = []
     leads: list[tuple] = []
+    heads: list[tuple] = []  # (lead, its numerator) for divide's _heads
 
     def push(p: Poly, row: dict[int, Poly]) -> None:
         lead = p.lm(order)
         inv = Fraction(p._den, p._nums[lead])
-        basis.append(p._scaled(inv))
+        g = p._scaled(inv)
+        basis.append(g)
         exprs.append({k: q._scaled(inv) for k, q in row.items()})
         leads.append(lead)
+        heads.append((lead, g._nums[lead]))
 
     for k, g in enumerate(gens):
         if g:
@@ -171,9 +178,10 @@ def _tracked_groebner(gens, order: MonomialOrder):
         ei, ej = leads[i], leads[j]
         if l == add_exp(ei, ej):
             continue  # coprime leads: S-polynomial reduces to zero
-        mi = Poly._make(nv, {sub_exp(l, ei): 1})
-        mj = Poly._make(nv, {sub_exp(l, ej): 1})
-        q, r = divide(mi * basis[i] - mj * basis[j], basis, order)
+        # both leads divide their lcm: no checked difference needed
+        mi = Poly._make(nv, {tuple(map(sub, l, ei)): 1})
+        mj = Poly._make(nv, {tuple(map(sub, l, ej)): 1})
+        q, r = divide(mi * basis[i] - mj * basis[j], basis, order, _heads=heads)
         if r:
             row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
             for t, qt in enumerate(q):
@@ -192,7 +200,8 @@ def _tracked_groebner(gens, order: MonomialOrder):
     zero = Poly.zero(nv)
     for t in keep:
         others = [u for u in keep if u != t]
-        q, r = divide(basis[t], [basis[u] for u in others], order)
+        q, r = divide(basis[t], [basis[u] for u in others], order,
+                      _heads=[heads[u] for u in others])
         row = exprs[t]
         for qt, u in zip(q, others):
             if qt:
@@ -237,10 +246,11 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     nv = gens[0].nvars
     G, A = _tracked_groebner(gens, order) if _basis is None else _basis
     t = len(G)
+    heads = [(e, g._nums[e]) for g in G for e in (g.lm(order),)]
 
     B = []
     for g in gens:
-        q, rem = divide(g, G, order)
+        q, rem = divide(g, G, order, _heads=heads)
         if rem:
             raise AssertionError("a generator does not divide to zero by its own base")
         B.append(q)
@@ -248,11 +258,11 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     raw = []
     for i in range(t):
         for j in range(i + 1, t):
-            ei, ej = G[i].lm(order), G[j].lm(order)
+            ei, ej = heads[i][0], heads[j][0]
             l = lcm_exp(ei, ej)
-            mi = Poly._make(nv, {sub_exp(l, ei): 1})
-            mj = Poly._make(nv, {sub_exp(l, ej): 1})
-            q, rem = divide(mi * G[i] - mj * G[j], G, order)
+            mi = Poly._make(nv, {tuple(map(sub, l, ei)): 1})
+            mj = Poly._make(nv, {tuple(map(sub, l, ej)): 1})
+            q, rem = divide(mi * G[i] - mj * G[j], G, order, _heads=heads)
             if rem:
                 raise AssertionError("an S-polynomial of the base leaves a remainder")
             vg = [-qq for qq in q]
@@ -280,7 +290,8 @@ class PolyIdeal:
 
     The empty generator list (or all zero generators) is the zero ideal.
     The cache is written once; concurrent readers only ever see either
-    nothing or the finished pair.
+    nothing or the finished pair.  So are the heads of the base, which
+    ``divide`` keeps as a finished list.
     """
 
     def __init__(self, generators, order: MonomialOrder):
@@ -291,6 +302,7 @@ class PolyIdeal:
             raise ValueError("generators live in different rings")
         self._nvars = next(iter(nv), 0)
         self._basis = None
+        self._heads = None
 
     def _ensure(self):
         if self._basis is None:
@@ -309,8 +321,12 @@ class PolyIdeal:
 
     def divide(self, f: Poly):
         """Quotients of f over the reduced base and the remainder:
-        f = sum q_j * groebner[j] + r, and r is zero iff f is in the ideal."""
-        return divide(f, self.groebner, self.order)
+        f = sum q_j * groebner[j] + r, and r is zero iff f is in the ideal.
+        The heads of the base are found on the first call and kept."""
+        G = self.groebner
+        if self._heads is None:
+            self._heads = [(e, g._nums[e]) for g in G for e in (g.lm(self.order),)]
+        return divide(f, G, self.order, _heads=self._heads)
 
     def lift(self, quotients) -> list[Poly]:
         """Cofactors over the original generators of sum q_j * groebner[j],

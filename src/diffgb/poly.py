@@ -269,6 +269,36 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def _minus_product(self, u: "Poly", c: "Poly") -> "Poly":
+        """``self - u*c`` in one integer pass, with no intermediate
+        product; ``self`` may be ``None``, which stands for zero, so the
+        method is also called as ``Poly._minus_product(s, u, c)``."""
+        den = dp = u._den * c._den
+        if self is None:
+            data, m = {}, -1
+        elif self._den == dp:
+            data, m = dict(self._nums), -1
+        else:
+            den = lcm(self._den, dp)
+            k = den // self._den
+            data = {e: x * k for e, x in self._nums.items()}
+            m = -(den // dp)
+        b = c._nums.items()
+        for e1, c1 in u._nums.items():
+            c1 *= m
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                s = data.get(e)
+                if s is None:
+                    data[e] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        data[e] = s
+                    else:
+                        del data[e]
+        return _lowest(u.nvars, data, den)
+
     def _scaled(self, q) -> "Poly":
         """``self * q`` for a nonzero rational ``q`` (an ``int`` or a
         ``Fraction``), with no constant ``Poly`` and no exponent sums.

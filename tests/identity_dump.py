@@ -12,8 +12,9 @@ there.  Standard library only.  The hash covers:
 - the reference-costed complete-pool inputs at their caps: each base's
   operators and ``stats``, at each stair point the cone's reduced base
   G, its expression matrix A and ``syzygies``, the flatness and
-  finiteness flags, and each input's ``reduce(tail=True)`` trace; a cap
-  hit is hashed as its message;
+  finiteness flags, each input's ``reduce(tail=True)`` trace, and every
+  S-operator (``lam`` and ``operator``) at every lcm target of the base;
+  a cap hit is hashed as its message;
 - the member-pool bases: their frozen queries through ``member`` and
   through ``reduce(tail=True)``, every cofactor, remainder and step count;
 - the reference-costed weyl-pool inputs under the deglex and the lex
@@ -69,10 +70,13 @@ def complete_section(ref, rings):
                           [[str(x) for x in row] for row in basis[1]],
                           [[str(x) for x in row] for row in syz]])
         flat, fin = dg.flatness_report(b), dg.finiteness_test(b)
+        sops = [[list(a), [[str(x) for x in s.lam], str(s.operator)]]
+                for a in dg.lcm_targets(b.genset)
+                for s in dg.s_delta_operators(b.genset, a)]
         yield [i, [str(p) for p in b.ops], b.stats, cones,
                [flat.globally_flat, flat.maximal_set_known, fin.finite,
                 [[w.coordinate, w.degree, w.unit] for w in fin.witnesses]],
-               [_trace(dg.reduce(g, b.genset, tail=True)) for g in gens]]
+               [_trace(dg.reduce(g, b.genset, tail=True)) for g in gens], sops]
     print(f"complete: {caps} cap hits", file=sys.stderr)
 
 

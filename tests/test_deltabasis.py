@@ -1,5 +1,6 @@
 """Reduction, cone ideals, S-operators, the base criterion, completion."""
 
+import dataclasses
 import itertools
 import random
 
@@ -555,7 +556,9 @@ def test_complete_keeps_only_the_stair_cones():
         except CompletionCapExceeded:
             continue
         gs = b.genset
-        assert set(gs._cones) == {gs.participants(a) for a in b.stair}
+        tops = [max(pure) for i in range(b.ring.n)
+                if (pure := [e for e in gs.exps if not any(e[:i] + e[i + 1:])])]
+        assert set(gs._cones) == {gs.participants(a) for a in b.stair + tuple(tops)}
         assert all(b.cones[a] is gs.cone_ideal(a) for a in b.stair)
 
 
@@ -626,10 +629,10 @@ def test_complete_returns_empty_memos_that_member_fills():
     r, p1, p2 = example6_ops()
     b = complete([p1, p2])
     gs = b.genset
-    assert gs._idxs == {} and gs._rows == {}
+    assert gs._idxs == {} and gs._rows == {} and gs._sops == {}
     ok, tr = member(r.d(1) * p1 + p2, b)
     assert ok and tr.steps >= 1
-    assert gs._idxs and gs._rows
+    assert gs._idxs and gs._rows and gs._sops == {}
     assert all(h is None or h.exp_delta() == alpha
                for alpha, hs in gs._rows.items() for h in hs)
 
@@ -677,3 +680,70 @@ def test_minimal_stair_matches_brute_force_with_duplicates():
             x <= y for x, y in zip(d, e)) for d in uniq)]
         assert minimal_stair(exps, o) == tuple(sorted(antichain, key=o.key))
         assert minimal_stair(iter(exps), o) == minimal_stair(exps, o)
+
+
+def test_reduce_without_lift_gives_the_same_remainder_and_steps_fuzz():
+    rng = random.Random(97)
+    for gens, cap in _completion_inputs():
+        try:
+            ops = complete(gens, cap=cap).ops
+        except CompletionCapExceeded:
+            ops = gens
+        r = ops[0].ring
+        for f in (GeneratorSet(gens), GeneratorSet(ops)):
+            for _ in range(4):
+                p = rand_op(rng, r, max_order=3, max_terms=3, max_deg=2)
+                for tail in (False, True):
+                    tr = reduce(p, f, tail=tail)
+                    lean = reduce(p, f, tail=tail, _lift=False)
+                    assert lean.cofactors is None
+                    assert (lean.remainder, lean.steps) == (tr.remainder, tr.steps)
+
+
+def test_the_base_check_lifts_no_cofactors_and_member_does(monkeypatch):
+    calls = []
+    lift = PolyIdeal.lift
+
+    def spy(self, quotients):
+        calls.append(self)
+        return lift(self, quotients)
+
+    monkeypatch.setattr(PolyIdeal, "lift", spy)
+    steps = 0
+    for gens, cap in _completion_inputs():
+        try:
+            b = complete(gens, cap=cap)
+        except CompletionCapExceeded:
+            continue
+        steps += b.stats["reduction_steps"]
+        assert calls == []
+        combo = DiffOp.zero(b.ring)
+        for g in gens:
+            combo = combo + b.ring.d(0) * g
+        ok, tr = member(combo, b)
+        assert ok and (calls or not tr.steps)
+        calls.clear()
+    assert steps
+
+
+def test_s_operators_after_appends_match_a_fresh_generator_set_fuzz():
+    # every target's S-operators are memoized before each append, so an
+    # entry the append should drop, or a lam left one entry short, shows
+    rng = random.Random(101)
+    checked = 0
+    for k in range(16):
+        r = ring2(m=k % 2)
+        gs = GeneratorSet([rand_op(rng, r, max_order=2, max_terms=2, max_deg=1)])
+        for _ in range(3):
+            for alpha in lcm_targets(gs):
+                s_delta_operators(gs, alpha)
+            gs._append(rand_op(rng, r, max_order=2, max_terms=2, max_deg=1))
+            fresh = GeneratorSet(gs.ops)
+            for alpha in lcm_targets(gs):
+                got = s_delta_operators(gs, alpha)
+                assert got == s_delta_operators(fresh, alpha)
+                assert got is not s_delta_operators(gs, alpha)
+                checked += len(got)
+    assert checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got[0].operator = DiffOp.zero(r)

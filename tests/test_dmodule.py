@@ -3,6 +3,7 @@
 import random
 
 from diffgb import (
+    CompletionCapExceeded,
     Poly,
     PolyIdeal,
     complete,
@@ -155,3 +156,31 @@ def test_unit_after_inverting_rejects_zero():
 
     with pytest.raises(ValueError):
         unit_after_inverting(PolyIdeal((X1,), deglex()), Poly.zero(2))
+
+
+def test_finiteness_certificate_is_the_completions_own_cone():
+    # the cone at the largest pure power of each direction: its
+    # participants are every pure power of that direction, in order
+    rng = random.Random(103)
+    r = ring2()
+    seen = 0
+    for _ in range(12):
+        gens = [rand_op(rng, r, max_order=2, max_terms=2, max_deg=1) for _ in range(2)]
+        try:
+            b = complete(gens, cap=6)
+        except CompletionCapExceeded:
+            continue
+        cones = dict(b.genset._cones)
+        for w in finiteness_test(b).witnesses:
+            i = w.coordinate
+            pure = [p for p in b.ops
+                    if all(k == 0 for j, k in enumerate(p.exp_delta()) if j != i)]
+            if not pure:
+                assert w.degree is None and not w.unit
+                continue
+            seen += 1
+            assert w.degree == max(p.exp_delta()[i] for p in pure)
+            assert w.certificate.generators == tuple(p.c_delta() for p in pure)
+            assert w.certificate in cones.values()
+            assert w.unit == PolyIdeal(w.certificate.generators, r.x_order()).is_unit()
+    assert seen

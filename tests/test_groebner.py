@@ -445,11 +445,34 @@ def test_tracked_groebner_stops_once_a_constant_is_in_the_base(kind, gens, monke
     # the constant itself divides by nothing)
     divide_ = groebner.divide
 
-    def checked(f, divisors, order):
+    def checked(f, divisors, order, _heads=None):
         divisors = list(divisors)
         assert not any(g.is_constant() for g in divisors), "pair popped after a constant"
-        return divide_(f, divisors, order)
+        return divide_(f, divisors, order, _heads=_heads)
 
     monkeypatch.setattr(groebner, "divide", checked)
     G, _ = _tracked_groebner(_cone_polys(gens), MonomialOrder(kind))
     assert [str(g) for g in G] == ["1"]
+
+
+def test_divide_with_known_heads_matches_a_plain_divide_fuzz():
+    # the heads a caller holds, for lists with constant divisors too
+    # (1 included, which returns the dividend unscaled), and for a
+    # PolyIdeal, which keeps its base's heads after the first divide
+    rng = random.Random(89)
+    constants = [Fraction(1), *CONSTANTS]
+    for k in range(160):
+        o = rng.choice([deglex(), lex(), degrevlex()])
+        nv = rng.randint(1, 3)
+        gens = [rand_qpoly(rng, nv, 2, 3) for _ in range(rng.randint(1, 3))]
+        c = Poly.constant(nv, constants[k % 4])
+        if k % 3 == 1:
+            gens = [c]
+        elif k % 3 == 2:
+            gens.insert(rng.randrange(len(gens) + 1), c)
+        f = Poly.zero(nv) if k % 5 == 0 else rand_qpoly(rng, nv, 4, 5)
+        heads = [(g.lm(o), g._nums[g.lm(o)]) for g in gens]
+        assert divide(f, gens, o, _heads=heads) == divide(f, gens, o)
+        ideal = PolyIdeal(tuple(gens), o)
+        for g in (f, gens[0] * f):
+            assert ideal.divide(g) == divide(g, ideal.groebner, o)

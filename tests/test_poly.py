@@ -242,3 +242,24 @@ def test_public_views_hand_out_fractions():
     assert p.eval((Fraction(3), Fraction(0))) == 4
     with pytest.raises(TypeError):
         p.terms[(0, 1)] = Fraction(1)
+
+
+def test_minus_product_equals_the_difference_with_the_product_fuzz():
+    # self - u*c in one pass: self may be None (zero), the denominators
+    # of self and of u*c differ or agree, and every fifth case cancels
+    rng = random.Random(83)
+    for k in range(240):
+        nv = rng.randint(1, 3)
+        draw = rand_qpoly if k % 2 else rand_poly  # rational or integer
+        u, c = draw(rng, nv), draw(rng, nv)
+        if k % 5 == 0:
+            s = u * c
+        elif k % 3 == 0:
+            s = None
+        else:
+            s = draw(rng, nv, 4, 5) + rng.choice([Poly.zero(nv), u * c])
+        got = Poly._minus_product(s, u, c)
+        assert got == (-(u * c) if s is None else s - u * c)
+        assert_canonical_poly(got)
+        if k % 5 == 0:
+            assert got.is_zero() and got._den == 1
