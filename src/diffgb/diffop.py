@@ -122,7 +122,7 @@ class DiffOp:
         data: dict[ExpVec, Poly] = {}
         for e, p in items:
             e = tuple(e)
-            if len(e) != ring.n or any(k < 0 for k in e):
+            if len(e) != ring.n or not all(isinstance(k, int) and k >= 0 for k in e):
                 raise ValueError(f"bad d-exponent {e} for n={ring.n}")
             if isinstance(p, (int, Fraction)):
                 p = Poly.constant(ring.nvars, p)

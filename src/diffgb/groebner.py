@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
 
-from .orders import MonomialOrder, add_exp, critical_pairs, lcm_exp, minimal_indices
-from .poly import Poly, _lowest, primitive_scale
+from .orders import MonomialOrder, critical_pairs, minimal_indices
+from .poly import Poly, _degree_error, _layout, _lowest, _sort_key, primitive_scale
+
+
+def _heads_of(gens, order: MonomialOrder) -> list[tuple[int, int]]:
+    """``divide``'s ``_heads`` of nonzero divisors."""
+    return [(e, g._nums[e]) for g in gens for e in (g._lm(order),)]
 
 
 def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
@@ -33,23 +37,33 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     computed in one scaling (none when c is 1); a cone ideal's base is
     [1] whenever the cone is the unit ideal.
 
-    ``_heads`` is the list of ``(lm(g), numerator of lc(g))`` for the
-    divisors, in order, when the caller already holds it (a Groebner
-    loop or a cached base); the divisors are then taken to be nonzero.
+    ``_heads`` is the list of ``(g._lm(order), numerator of lc(g))``
+    for the divisors, in order, with the leads as packed keys (see
+    ``poly``), when the caller already holds it (a Groebner loop or a
+    cached base); the divisors are then taken to be nonzero.
+
+    Exponents are packed keys throughout: a head divides a term when
+    the guard test passes, the quotient monomial is the difference and
+    a product the sum.  Under a graded order a product term never
+    outgrows the term it cancels; under lex it may, so each lex step
+    checks the degree limit of the divisor's largest term.
     """
     gens = list(gens)
     heads = _heads
     if heads is None:
         if any(g.is_zero() for g in gens):
             raise ValueError("division by a zero polynomial")
-        heads = [(e, g._nums[e]) for g in gens for e in (g.lm(order),)]
+        heads = _heads_of(gens, order)
     nv = f.nvars
     zero = Poly._make(nv, {})
-    if heads and not any(heads[0][0]):
+    if heads and not heads[0][0]:
         d, c = gens[0]._den, heads[0][1]
         q = f if d == c else f._scaled(Fraction(d, c))
         return [q] + [zero] * (len(gens) - 1), zero
-    key = order.key
+    key = _sort_key(order, nv)
+    lay = _layout(nv)
+    guard = lay.guard
+    tops = [max(g._nums) for g in gens] if order.kind == "lex" else None
 
     # fraction-free working copy: integer numerators over the running
     # denominator den.  A step scales both by gc/h and subtracts pc/h
@@ -60,12 +74,15 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     quot = [{} for _ in gens]  # exponent -> (numerator, den at the time)
     rem = {}  # exponent -> (numerator, den when the term left work)
     while work:
-        pe = max(work, key=key)
+        pe = max(work) if key is None else max(work, key=key)
         pc = work[pe]
+        pg = pe | guard
         for i, (ge, gc) in enumerate(heads):
-            if all(map(le, ge, pe)):
+            if (pg - ge) & guard == guard:
                 g = gens[i]
-                qe = tuple(map(sub, pe, ge))
+                qe = pe - ge
+                if tops is not None and qe + tops[i] >= lay.top:
+                    raise _degree_error(nv)
                 # the quotient term is pc * g._den / (den * gc)
                 quot[i][qe] = (pc * g._den, den)
                 h = gcd(pc, gc)
@@ -76,7 +93,7 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
                     work = {e: c * s for e, c in work.items()}
                     den *= s
                 for me, mc in g._nums.items():
-                    te = tuple(map(add, qe, me))
+                    te = qe + me
                     nc = work.get(te, 0) - t * mc
                     if nc:
                         work[te] = nc
@@ -153,15 +170,16 @@ def _tracked_groebner(gens, order: MonomialOrder):
     if cols == 0:
         return [], []
     nv = gens[0].nvars
-    unit = (0,) * nv
+    lay = _layout(nv)
+    key = _sort_key(order, nv)
 
     basis: list[Poly] = []
     exprs: list[dict[int, Poly]] = []
-    leads: list[tuple] = []
+    leads: list[int] = []  # packed
     heads: list[tuple] = []  # (lead, its numerator) for divide's _heads
 
     def push(p: Poly, row: dict[int, Poly]) -> None:
-        lead = p.lm(order)
+        lead = p._lm(order)
         inv = Fraction(p._den, p._nums[lead])
         g = p._scaled(inv)
         basis.append(g)
@@ -173,14 +191,14 @@ def _tracked_groebner(gens, order: MonomialOrder):
         if g:
             push(g, {k: Poly.one(nv)})
 
-    pairs = () if unit in leads else critical_pairs(leads, lcm_exp, order.key)
+    pairs = () if 0 in leads else critical_pairs(leads, lay.lcm, key)
     for i, j, l in pairs:
         ei, ej = leads[i], leads[j]
-        if l == add_exp(ei, ej):
+        if l == ei + ej:
             continue  # coprime leads: S-polynomial reduces to zero
-        # both leads divide their lcm: no checked difference needed
-        mi = Poly._make(nv, {tuple(map(sub, l, ei)): 1})
-        mj = Poly._make(nv, {tuple(map(sub, l, ej)): 1})
+        # both leads divide their lcm: the differences are valid keys
+        mi = Poly._make(nv, {l - ei: 1})
+        mj = Poly._make(nv, {l - ej: 1})
         q, r = divide(mi * basis[i] - mj * basis[j], basis, order, _heads=heads)
         if r:
             row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
@@ -188,11 +206,12 @@ def _tracked_groebner(gens, order: MonomialOrder):
                 if qt:
                     row = _row_sub(row, qt, exprs[t])
             push(r, row)
-            if leads[-1] == unit:
+            if not leads[-1]:
                 break
 
     # minimal base: drop anything whose lead is divisible by another lead
-    keep = minimal_indices(leads, order.key)
+    guard = lay.guard
+    keep = minimal_indices(leads, key, lambda a, b: ((b | guard) - a) & guard == guard)
 
     # tail reduction against the other survivors
     final: list[Poly] = []
@@ -223,7 +242,7 @@ def _normalize_vector(vec, order: MonomialOrder):
     last = next((p for p in reversed(vec) if p), None)
     if last is None:
         return None
-    scale = primitive_scale(vec, -last._nums[last.lm(order)])
+    scale = primitive_scale(vec, -last._nums[last._lm(order)])
     return tuple(p._scaled(scale) for p in vec)
 
 
@@ -246,7 +265,8 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     nv = gens[0].nvars
     G, A = _tracked_groebner(gens, order) if _basis is None else _basis
     t = len(G)
-    heads = [(e, g._nums[e]) for g in G for e in (g.lm(order),)]
+    heads = _heads_of(G, order)
+    lcm = _layout(nv).lcm
 
     B = []
     for g in gens:
@@ -259,9 +279,9 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     for i in range(t):
         for j in range(i + 1, t):
             ei, ej = heads[i][0], heads[j][0]
-            l = lcm_exp(ei, ej)
-            mi = Poly._make(nv, {tuple(map(sub, l, ei)): 1})
-            mj = Poly._make(nv, {tuple(map(sub, l, ej)): 1})
+            l = lcm(ei, ej)
+            mi = Poly._make(nv, {l - ei: 1})
+            mj = Poly._make(nv, {l - ej: 1})
             q, rem = divide(mi * G[i] - mj * G[j], G, order, _heads=heads)
             if rem:
                 raise AssertionError("an S-polynomial of the base leaves a remainder")
@@ -325,7 +345,7 @@ class PolyIdeal:
         The heads of the base are found on the first call and kept."""
         G = self.groebner
         if self._heads is None:
-            self._heads = [(e, g._nums[e]) for g in G for e in (g.lm(self.order),)]
+            self._heads = _heads_of(G, self.order)
         return divide(f, G, self.order, _heads=self._heads)
 
     def lift(self, quotients) -> list[Poly]:

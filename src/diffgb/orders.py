@@ -65,9 +65,12 @@ def total_degree(a: ExpVec) -> int:
 
 def minimal_indices(leads, key, divides=divides) -> list[int]:
     """Indices of the leads that no earlier-kept lead divides, visited
-    in ascending (key, index) order; of equal leads the first is kept."""
+    in ascending (key, index) order; of equal leads the first is kept.
+    A ``key`` of None sorts the leads themselves."""
     keep: list[int] = []
-    for t in sorted(range(len(leads)), key=lambda t: (key(leads[t]), t)):
+    # sorted is stable: equal keys keep ascending indices
+    at = leads.__getitem__ if key is None else lambda t: key(leads[t])
+    for t in sorted(range(len(leads)), key=at):
         if not any(divides(leads[u], leads[t]) for u in keep):
             keep.append(t)
     return keep
@@ -75,16 +78,17 @@ def minimal_indices(leads, key, divides=divides) -> list[int]:
 
 def critical_pairs(leads, lcm, key):
     """Yield (i, j, lcm(leads[i], leads[j])) once for every i < j,
-    smallest (key(lcm), i, j) first.  The caller may append to
-    ``leads`` while iterating: the pairs of every lead appended since
-    the last step are queued before the next pop."""
+    smallest (key(lcm), i, j) first; a ``key`` of None orders the lcms
+    themselves.  The caller may append to ``leads`` while iterating:
+    the pairs of every lead appended since the last step are queued
+    before the next pop."""
     heap: list = []
     queued = 0
     while True:
         for j in range(queued, len(leads)):
             for i in range(j):
                 l = lcm(leads[i], leads[j])
-                heapq.heappush(heap, (key(l), i, j, l))
+                heapq.heappush(heap, (l if key is None else key(l), i, j, l))
         queued = len(leads)
         if not heap:
             return
@@ -120,9 +124,11 @@ class MonomialOrder:
     larger exponent.  It is the ``__getitem__`` of the order's memo
     ``_key_cache``, bound per instance, so a memo hit, the common case
     of ``max(..., key=order.key)``, runs no Python frame; a miss
-    computes the key with ``_compute_key``.  The memo is not a field,
-    so eq and hash stay structural, and a copy or an unpickled order is
-    rebuilt from ``(kind, prec)`` with a memo of its own.
+    computes the key with ``_compute_key``.  ``_packed_keys`` holds the
+    order's sort keys of ``Poly``'s packed exponents, one per number of
+    variables (``poly._sort_key``).  Neither memo is a field, so eq and
+    hash stay structural, and a copy or an unpickled order is rebuilt
+    from ``(kind, prec)`` with memos of its own.
     """
 
     kind: str = "deglex"
@@ -139,6 +145,7 @@ class MonomialOrder:
         memo = _KeyMemo(self._compute_key)
         object.__setattr__(self, "_key_cache", memo)
         object.__setattr__(self, "key", memo.__getitem__)
+        object.__setattr__(self, "_packed_keys", {})
 
     def __reduce__(self):
         return type(self), (self.kind, self.prec)

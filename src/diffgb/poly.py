@@ -1,29 +1,55 @@
 """Sparse multivariate polynomials over Q with exact arithmetic.
 
 Storage is integer numerators over one positive common denominator:
-``_nums`` maps exponent tuple -> nonzero ``int`` and ``_den`` is an
+``_nums`` maps packed exponent -> nonzero ``int`` and ``_den`` is an
 ``int > 0``.  The form is canonical: the gcd of ``_den`` and every
 numerator is 1, so equal polynomials have equal fields and hashing
 reads them directly.  ``+``, ``-``, ``*`` and ``partial`` compute on
 ints and divide out the gcd of the result once.  Instances are
 immutable by convention.
 
-The API still hands out ``Fraction``s: ``terms`` is a read-only view
-exponent -> ``Fraction`` built on first read, and ``lc()``/``leading()``
-build only the one coefficient they return.  Code in this package reads
-the integer form; it reads ``terms`` only to print, to validate input
-and to copy user data.
+An exponent e of ``nvars`` variables is packed into one int with a
+field of ``_W`` bits per variable under a field for the total degree:
+
+    key = deg << (W*nv) | e_0 << (W*(nv-1)) | ... | e_{nv-1}
+
+Every total degree stays below ``_LIMIT`` = 2^31, so every field
+leaves its top bit, the guard bit, clear.  Then, for valid keys a and b:
+
+- the product x^a * x^b is the key ``a + b``, and when a divides b the
+  quotient is ``b - a``: no field carries into its neighbour;
+- a divides b iff ``((b | guard) - a) & guard == guard``, where
+  ``guard`` has the guard bit of every variable field set;
+- for deglex in declaration order the keys compare as the monomials
+  do, so the key is its own sort key and a lead is ``max(keys)``;
+  every other order sorts through a memo of its key of the unpacked
+  exponent (``_sort_key``).
+
+The limit is checked where degrees are made: in ``Poly(...)``, in the
+product kernels ``__mul__`` and ``_minus_product``, and in the division
+steps of orders that are not graded.  Crossing it raises ``ValueError``
+instead of carrying.  ``_layout(nvars)`` owns the format and is built
+on first use for each ``nvars``.
+
+The API still hands out tuples and ``Fraction``s: ``terms`` is a
+read-only view exponent tuple -> ``Fraction`` built on first read,
+``lm()`` and ``leading()`` unpack the one exponent they return, and
+``lc()``/``leading()`` build only the one coefficient they return.
+Code in this package reads the packed integer form (``_lm`` is the
+packed lead); it reads ``terms`` only to print, to validate input and
+to copy user data.
 
 ``Poly(nvars, terms)`` validates and normalizes its input: exponents
-are checked, coefficients converted to ``Fraction``, repeated exponents
+are checked (``nvars`` nonnegative ints of total degree below the
+limit), coefficients converted to ``Fraction``, repeated exponents
 summed and zeros dropped.  Arithmetic results are built instead with
 the trusted constructor ``Poly._make(nvars, nums, den)``, which stores
-its arguments as given.  Its caller guarantees that every exponent is
-a tuple of ``nvars`` nonnegative ints, every numerator is a nonzero
-``int``, the form is canonical, and no one else holds a reference to
-``nums``.  Breaking the contract breaks equality and hashing silently,
-so ``_make`` is for code in this package that builds the dict itself;
-input from users goes through ``Poly(...)``.
+its arguments as given.  Its caller guarantees that every key is a
+packed int of a valid exponent of ``nvars`` variables, every numerator
+is a nonzero ``int``, the form is canonical, and no one else holds a
+reference to ``nums``.  Breaking the contract breaks equality and
+hashing silently, so ``_make`` is for code in this package that builds
+the dict itself; input from users goes through ``Poly(...)``.
 """
 
 from __future__ import annotations
@@ -31,10 +57,83 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from operator import add
+from struct import Struct
 from types import MappingProxyType
 
-from .orders import ExpVec, MonomialOrder, total_degree
+from .orders import ExpVec, MonomialOrder, _KeyMemo
+
+_W = 32  # bits per field
+_LIMIT = 1 << (_W - 1)  # every total degree stays below this
+_FIELD = (1 << _W) - 1
+
+
+class _Layout:
+    """The packed format for one number of variables.
+
+    ``shifts[i]`` is the bit offset of variable i's field and ``dshift``
+    that of the degree field; ``units[i]`` is the key of x_i, ``guard``
+    holds the guard bits of the variable fields, ``fields`` all their
+    bits, and ``top`` is the least key whose degree reaches the limit.
+    """
+
+    __slots__ = ("shifts", "dshift", "units", "guard", "fields", "top", "_words")
+
+    def __init__(self, nvars: int):
+        self.shifts = tuple(_W * (nvars - 1 - i) for i in range(nvars))
+        self.dshift = d = _W * nvars
+        self.units = tuple((1 << s) + (1 << d) for s in self.shifts)
+        self.guard = sum(_LIMIT << s for s in self.shifts)
+        self.fields = (1 << d) - 1
+        self.top = _LIMIT << d
+        self._words = Struct(f">{nvars}I")  # the variable fields, 32 bits each
+
+    def pack(self, e: ExpVec) -> int:
+        """Key of a valid exponent tuple."""
+        k = sum(e) << self.dshift
+        for x, s in zip(e, self.shifts):
+            k |= x << s
+        return k
+
+    def unpack(self, k: int) -> ExpVec:
+        """Exponent tuple of a key: its variable fields."""
+        return self._words.unpack((k & self.fields).to_bytes(self.dshift >> 3, "big"))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Key of the lcm of two keys; its degree may reach the limit,
+        which only the degree field, the top one, can hold."""
+        g = self.guard
+        # the fields where b exceeds a, and b - a on them (no borrows)
+        m = self.fields ^ ((((a | g) - b) & g) >> (_W - 1)) * _FIELD
+        d = (b & m) - (a & m)
+        # 2^W = 1 mod _FIELD, so d % _FIELD sums d's fields: the degree
+        # d adds, exact as it is at most deg(b) < _FIELD
+        return a + d + ((d % _FIELD) << self.dshift)
+
+
+_layout = cache(_Layout)
+
+
+def _sort_key(order: MonomialOrder, nvars: int):
+    """Sort key of ``order`` on the keys of ``nvars`` variables: None
+    when the keys are their own (deglex in declaration order), else a
+    memo of ``order``'s key of the unpacked exponent.  The memo is kept
+    on the order, one per ``nvars``."""
+    keys = order._packed_keys
+    try:
+        return keys[nvars]
+    except KeyError:
+        pass
+    if order.kind == "deglex" and order.prec is None:
+        key = None
+    else:
+        unpack, compute = _layout(nvars).unpack, order._compute_key
+        key = _KeyMemo(lambda k: compute(unpack(k))).__getitem__
+    keys[nvars] = key
+    return key
+
+
+def _degree_error(nvars: int) -> ValueError:
+    return ValueError(f"a total degree in {nvars} variables reaches the limit {_LIMIT}")
 
 
 @cache
@@ -97,11 +196,15 @@ class Poly:
 
     def __init__(self, nvars: int, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        data: dict[ExpVec, Fraction] = {}
+        pack = _layout(nvars).pack
+        data: dict[int, Fraction] = {}
         for e, c in items:
             e = tuple(e)
-            if len(e) != nvars or any(k < 0 for k in e):
+            if len(e) != nvars or not all(isinstance(k, int) and k >= 0 for k in e):
                 raise ValueError(f"bad exponent {e} for {nvars} variables")
+            if sum(e) >= _LIMIT:
+                raise _degree_error(nvars)
+            e = pack(e)
             c = Fraction(c)
             if not c:
                 continue
@@ -130,13 +233,13 @@ class Poly:
 
     @property
     def terms(self):
-        """Read-only view exponent -> nonzero ``Fraction``, built on
-        first read."""
+        """Read-only view exponent tuple -> nonzero ``Fraction``, built
+        on first read."""
         t = self._terms
         if t is None:
-            den = self._den
+            den, unpack = self._den, _layout(self.nvars).unpack
             t = self._terms = MappingProxyType(
-                {e: Fraction(c, den) for e, c in self._nums.items()})
+                {unpack(e): Fraction(c, den) for e, c in self._nums.items()})
         return t
 
     # -- constructors ------------------------------------------------
@@ -148,7 +251,7 @@ class Poly:
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
         c = Fraction(c)
-        return cls._make(nvars, {(0,) * nvars: c.numerator} if c else {}, c.denominator)
+        return cls._make(nvars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -188,10 +291,11 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._nums:
             return -1
-        return max(total_degree(e) for e in self._nums)
+        # the degree field is the top one
+        return max(self._nums) >> _layout(self.nvars).dshift
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._nums)
+        return not any(self._nums)
 
     # -- arithmetic --------------------------------------------------
 
@@ -251,11 +355,14 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[ExpVec, int] = {}
+        top = _layout(self.nvars).top
+        data: dict[int, int] = {}
         b = other._nums.items()
         for e1, c1 in self._nums.items():
             for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
+                if e >= top:
+                    raise _degree_error(self.nvars)
                 s = data.get(e)
                 if s is None:
                     data[e] = c1 * c2
@@ -273,6 +380,7 @@ class Poly:
         """``self - u*c`` in one integer pass, with no intermediate
         product; ``self`` may be ``None``, which stands for zero, so the
         method is also called as ``Poly._minus_product(s, u, c)``."""
+        top = _layout(u.nvars).top
         den = dp = u._den * c._den
         if self is None:
             data, m = {}, -1
@@ -287,7 +395,9 @@ class Poly:
         for e1, c1 in u._nums.items():
             c1 *= m
             for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
+                if e >= top:
+                    raise _degree_error(u.nvars)
                 s = data.get(e)
                 if s is None:
                     data[e] = c1 * c2
@@ -332,10 +442,15 @@ class Poly:
         """Formal derivative with respect to variable ``i``."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
+        lay = _layout(self.nvars)
+        s, unit = lay.shifts[i], lay.units[i]
         # e -> e - unit_i is injective, so no two terms land together
-        return _lowest(self.nvars, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-            for e, c in self._nums.items() if e[i]}, self._den)
+        nums = {}
+        for e, c in self._nums.items():
+            k = (e >> s) & _FIELD
+            if k:
+                nums[e - unit] = c * k
+        return _lowest(self.nvars, nums, self._den)
 
     def partial_multi(self, gamma: ExpVec) -> "Poly":
         """Iterated derivative d^gamma; stops early once zero."""
@@ -352,26 +467,36 @@ class Poly:
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = Fraction(0)
+        unpack = _layout(self.nvars).unpack
         for e, c in self._nums.items():
-            total += c * prod((Fraction(p) ** k for p, k in zip(point, e)), start=Fraction(1))
+            total += c * prod((Fraction(p) ** k for p, k in zip(point, unpack(e))),
+                              start=Fraction(1))
         return total / self._den
 
     # -- order-dependent views ----------------------------------------
 
+    def _lm(self, order: MonomialOrder) -> int:
+        """Packed leading exponent of a nonzero polynomial."""
+        key = _sort_key(order, self.nvars)
+        # max() parses a key argument, even None, at a cost per call
+        return max(self._nums) if key is None else max(self._nums, key=key)
+
     def lm(self, order: MonomialOrder) -> ExpVec:
         if not self._nums:
             raise ValueError("zero polynomial has no leading term")
-        return order.max(self._nums)
+        return _layout(self.nvars).unpack(self._lm(order))
 
     def leading(self, order: MonomialOrder) -> tuple[ExpVec, Fraction]:
-        e = self.lm(order)
-        return e, Fraction(self._nums[e], self._den)
+        if not self._nums:
+            raise ValueError("zero polynomial has no leading term")
+        e = self._lm(order)
+        return _layout(self.nvars).unpack(e), Fraction(self._nums[e], self._den)
 
     def lc(self, order: MonomialOrder) -> Fraction:
         return self.leading(order)[1]
 
     def monic(self, order: MonomialOrder) -> "Poly":
-        return self._scaled(Fraction(self._den, self._nums[self.lm(order)]))
+        return self._scaled(1 / self.lc(order))
 
     def content(self) -> Fraction:
         """Positive rational g with self/g integer-primitive; 1 for zero."""
@@ -381,7 +506,7 @@ class Poly:
         """Integer coefficients, content 1, positive leading coefficient."""
         if not self._nums:
             return self
-        return self._scaled(primitive_scale((self,), self._nums[self.lm(order)]))
+        return self._scaled(primitive_scale((self,), self._nums[self._lm(order)]))
 
     # -- printing ------------------------------------------------------
 

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, ORDER_KINDS
+from .poly import _FIELD, _layout
 
 # command name -> argument kind: an operator expression, an exponent
 # tuple, or nothing
@@ -68,7 +69,8 @@ _TOKEN_RE = re.compile(
 
 def _monomials(op: DiffOp) -> list[tuple]:
     """The exponents of op's terms, x and d together."""
-    return [x + d for d, p in op.terms.items() for x in p._nums]
+    unpack = _layout(op.ring.nvars).unpack
+    return [unpack(x) + d for d, p in op.terms.items() for x in p._nums]
 
 
 def _product_cost(a: DiffOp, b: DiffOp) -> int:
@@ -77,9 +79,12 @@ def _product_cost(a: DiffOp, b: DiffOp) -> int:
     k is the highest power of d_i in a and j that of x_i in b."""
     cost = (sum(len(p._nums) for p in a.terms.values())
             * sum(len(p._nums) for p in b.terms.values()))
+    shifts = _layout(b.ring.nvars).shifts
     for i, k in enumerate(map(max, zip(*a.terms))):
         if k and cost:
-            cost *= min(k, max(x[i] for p in b.terms.values() for x in p._nums)) + 1
+            s = shifts[i]
+            j = max((x >> s) & _FIELD for p in b.terms.values() for x in p._nums)
+            cost *= min(k, j) + 1
     return cost
 
 

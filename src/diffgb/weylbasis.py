@@ -47,11 +47,13 @@ from typing import NamedTuple
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
 from .orders import MonomialOrder, minimal_indices
-from .poly import Poly, _lowest, primitive_scale
+from .poly import Poly, _degree_error, _layout, _lowest, _sort_key, primitive_scale
 
 
 class WeylExp(NamedTuple):
-    """Full exponent of a monomial x^a d^b."""
+    """Full exponent of a monomial x^a d^b.  ``exp_full`` returns x as
+    a tuple; the kernels of this module hold it as ``Poly``'s packed
+    key."""
 
     x: tuple
     d: tuple
@@ -76,15 +78,6 @@ class WeylOrder:
         return 0
 
 
-def _w_divides(a: WeylExp, b: WeylExp) -> bool:
-    return all(map(le, a.x, b.x)) and all(map(le, a.d, b.d))
-
-
-def _w_lcm(a: WeylExp, b: WeylExp) -> WeylExp:
-    # unchecked: both sides are leads of one ring
-    return WeylExp(tuple(map(max, a.x, b.x)), tuple(map(max, a.d, b.d)))
-
-
 def _require_weyl(*ops: DiffOp) -> None:
     if any(p.ring.m for p in ops):
         raise ValueError("classical bases need a pure operator ring (m = 0)")
@@ -97,14 +90,24 @@ def exp_full(p: DiffOp, worder: WeylOrder) -> WeylExp:
     _require_weyl(p)
     if p.is_zero():
         raise ValueError("the zero operator has no leading exponent")
-    return _lead_full(p, worder)[0]
+    x, d = _lead_full(p, worder)[0]
+    return WeylExp(_layout(p.ring.nvars).unpack(x), d)
 
 
 def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
+    """Leading exponent, its x-part packed, and leading coefficient."""
     beta = worder.order_d.max(p.terms)
     coeff = p.terms[beta]
-    e, c = coeff.leading(worder.order_x)
-    return WeylExp(e, beta), c
+    e = coeff._lm(worder.order_x)
+    return WeylExp(e, beta), Fraction(coeff._nums[e], coeff._den)
+
+
+def _packed_key(worder: WeylOrder, nvars: int):
+    """``worder.key`` on leads whose x-part is packed."""
+    kd, kx = worder.order_d.key, _sort_key(worder.order_x, nvars)
+    if kx is None:
+        return lambda w: (kd(w.d), w.x)
+    return lambda w: (kd(w.d), kx(w.x))
 
 
 class _Divisors:
@@ -114,17 +117,22 @@ class _Divisors:
     ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
     base, which only grows), and k indexes them; a division by a
     sublist names each divisor's k through ``_ids``, never by its
-    position there.  An entry is (den, lc, terms):
-    den * d^b * ops[k] = sum over terms e -> (nums, scale) of
-    scale * nums[x] * x^x d^e, with lc the integer at the product's
-    leading monomial.
+    position there.  Each lead is a ``WeylExp`` with its x-part packed
+    in the layout ``lay`` of ``Poly``'s keys.  An entry is (den, lc,
+    terms, top): den * d^b * ops[k] = sum over terms e -> (nums, scale)
+    of scale * nums[x] * x^x d^e, with the x-exponents x packed, lc the
+    integer at the product's leading monomial, and top its largest
+    x-key.  The elimination order does not bound the x-degrees of the
+    terms below a lead, so each x-shift xs of an entry checks the
+    degree limit on ``xs + top`` before it is applied.
     """
 
-    __slots__ = ("ops", "leads", "done", "steps")
+    __slots__ = ("ops", "leads", "lay", "done", "steps")
 
-    def __init__(self, ops, leads):
+    def __init__(self, ops, leads, nvars: int):
         self.ops = ops
         self.leads = leads
+        self.lay = _layout(nvars)
         self.done = {}
         self.steps = 0
 
@@ -137,22 +145,29 @@ class _Divisors:
             den = lcm(*(pl._den for pl in g.terms.values()))
             terms = {e: (pl._nums, den // pl._den) for e, pl in g.terms.items()}
             nums, scale = terms[tuple(map(add, b, lead.d))]
-            entry = den, nums[lead.x] * scale, terms
+            top = max(max(pl._nums) for pl in g.terms.values())
+            entry = den, nums[lead.x] * scale, terms, top
             self.done[(k, b)] = entry
         return entry
 
+    def divides(self, a: WeylExp, b: WeylExp) -> bool:
+        g = self.lay.guard
+        return ((b.x | g) - a.x) & g == g and all(map(le, a.d, b.d))
 
-def _subtract(work: dict, m: int, terms: dict, xshift: tuple) -> None:
+    def lcm(self, a: WeylExp, b: WeylExp) -> WeylExp:
+        return WeylExp(self.lay.lcm(a.x, b.x), tuple(map(max, a.d, b.d)))
+
+
+def _subtract(work: dict, m: int, terms: dict, xshift: int) -> None:
     """work -= m * x^xshift * terms, both in the form of ``_Divisors``
-    entries (d-exponent -> x-exponent -> integer), cancelled entries
-    and emptied rows dropped."""
-    moved = any(xshift)
+    entries (d-exponent -> packed x-exponent -> integer), cancelled
+    entries and emptied rows dropped."""
     for b, (nums, scale) in terms.items():
         row = work.setdefault(b, {})
         f = m * scale
         for x, n in nums.items():
-            if moved:
-                x = tuple(map(add, x, xshift))
+            if xshift:
+                x += xshift
             nc = row.get(x, 0) - f * n
             if nc:
                 row[x] = nc
@@ -180,13 +195,15 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
     if any(g.is_zero() for g in gens):
         raise ValueError("division by a zero operator")
     quotients = _base is None
+    nv = p.ring.nvars
     if quotients:
-        _base = _Divisors(gens, [exp_full(g, worder) for g in gens])
+        _require_weyl(*gens)
+        _base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], nv)
     shifted, leads = _base.shifted, _base.leads
-    # each head as one flat tuple x + d, tested against the step's xe + beta
-    divisors = [(leads[k].x + leads[k].d, leads[k], k)
+    guard, limit = _base.lay.guard, _base.lay.top
+    divisors = [(leads[k].x, leads[k].d, k)
                 for k in (range(len(gens)) if _ids is None else _ids)]
-    kd, kx = worder.order_d.key, worder.order_x.key
+    kd, kx = worder.order_d.key, _sort_key(worder.order_x, nv)
 
     # fraction-free working copy: d-exponent -> x-exponent -> integer
     # numerator over the running denominator den, zero entries dropped
@@ -201,22 +218,26 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
     while work:
         beta = max(work, key=kd)
         slot = work[beta]
-        xe = max(slot, key=kx)
+        xe = max(slot) if kx is None else max(slot, key=kx)
         c = slot[xe]
-        key = (kd(beta), kx(xe))  # worder.key of the step's monomial
+        # worder.key of the step's monomial
+        key = (kd(beta), xe if kx is None else kx(xe))
         if prev is not None and key >= prev:
             raise AssertionError(
-                f"division did not descend strictly at {WeylExp(xe, beta)}")
+                f"division did not descend strictly at "
+                f"{WeylExp(_base.lay.unpack(xe), beta)}")
         prev = key
         _base.steps += 1
-        flat = xe + beta
-        for i, (hf, hw, k) in enumerate(divisors):
-            if all(map(le, hf, flat)):
+        xg = xe | guard
+        for i, (hx, hd, k) in enumerate(divisors):
+            if (xg - hx) & guard == guard and all(map(le, hd, beta)):
                 # the head divides, so both differences stay in N^k
-                dshift = tuple(map(sub, beta, hw.d))
-                xshift = tuple(map(sub, xe, hw.x))
+                dshift = tuple(map(sub, beta, hd))
+                xshift = xe - hx
                 # x^xshift d^dshift * g leads at the step's monomial
-                pd, gc, terms = shifted(k, dshift)
+                pd, gc, terms, top = shifted(k, dshift)
+                if xshift + top >= limit:
+                    raise _degree_error(nv)
                 if quotients:
                     # the quotient term is c * pd / (den * gc); every term
                     # of one d-shift reads the same memo entry, so one gc
@@ -238,7 +259,6 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
             if not slot:
                 del work[beta]
 
-    nv = p.ring.nvars
     rem = DiffOp._make(p.ring, {
         b: _lowest(nv, {x: c * (den // d) for x, (c, d) in xs.items()}, den)
         for b, xs in remd.items()})
@@ -273,22 +293,26 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
         _require_weyl(f, g)
         if f.is_zero() or g.is_zero():
             raise ValueError("the zero operator has no leading exponent, so no S-operator")
-        _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]])
+        _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]],
+                          f.ring.nvars)
     i, j = _ids
     wf, wg = _base.leads[i], _base.leads[j]
-    l = _w_lcm(wf, wg)
+    l = _base.lcm(wf, wg)
     # mf * f = Af / af with Af the memo's integer form of x^a d^b * f
     # and af its lead, so S = Af / af - Ag / ag = (u*Af - v*Ag) / (u*af)
-    _, af, tf = _base.shifted(i, tuple(map(sub, l.d, wf.d)))
-    _, ag, tg = _base.shifted(j, tuple(map(sub, l.d, wg.d)))
+    _, af, tf, topf = _base.shifted(i, tuple(map(sub, l.d, wf.d)))
+    _, ag, tg, topg = _base.shifted(j, tuple(map(sub, l.d, wg.d)))
+    xf, xg = l.x - wf.x, l.x - wg.x
+    nv = f.ring.nvars
+    if max(xf + topf, xg + topg) >= _base.lay.top:
+        raise _degree_error(nv)
     h = gcd(af, ag)
     u, v = ag // h, af // h
     if u * af < 0:
         u, v = -u, -v
     work: dict = {}
-    _subtract(work, -u, tf, tuple(map(sub, l.x, wf.x)))
-    _subtract(work, v, tg, tuple(map(sub, l.x, wg.x)))
-    nv = f.ring.nvars
+    _subtract(work, -u, tf, xf)
+    _subtract(work, v, tg, xg)
     return DiffOp._make(f.ring, {b: _lowest(nv, row, u * af) for b, row in work.items()})
 
 
@@ -319,7 +343,9 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
 
     basis: list[DiffOp] = []
     leads: list[WeylExp] = []
-    base = _Divisors(basis, leads)
+    base = _Divisors(basis, leads, gens[0].ring.nvars)
+    divides, w_lcm = base.divides, base.lcm
+    wkey = _packed_key(worder, gens[0].ring.nvars)
     # live: the elements whose lead no later lead divides, the only
     # divisors and the only partners of a new element.  queue: a heap
     # of the open pairs as (worder.key(lcm), i, j, lcm), i < j.
@@ -333,7 +359,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         h, lh = len(basis), _lead_full(g, worder)[0]
         basis.append(g)
         leads.append(lh)
-        if not any(lh.x) and not any(lh.d):
+        if not lh.x and not any(lh.d):
             # a constant (0 is the least exponent): the whole ring, so
             # every pair reduces to zero and no other element stays live
             queue.clear()
@@ -341,14 +367,14 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         elif live:
             # B: lh divides the pair's lcm, which differs from both new
             # lcms, so the chain through h covers the pair
-            queue[:] = [q for q in queue if not _w_divides(lh, q[3])
-                        or _w_lcm(leads[q[1]], lh) == q[3] or _w_lcm(leads[q[2]], lh) == q[3]]
+            queue[:] = [q for q in queue if not divides(lh, q[3])
+                        or w_lcm(leads[q[1]], lh) == q[3] or w_lcm(leads[q[2]], lh) == q[3]]
             # M and F: one new pair per divisibility-minimal lcm
-            lcms = [_w_lcm(leads[i], lh) for i in live]
-            for t in minimal_indices(lcms, worder.key, _w_divides):
-                queue.append((worder.key(lcms[t]), live[t], h, lcms[t]))
+            lcms = [w_lcm(leads[i], lh) for i in live]
+            for t in minimal_indices(lcms, wkey, divides):
+                queue.append((wkey(lcms[t]), live[t], h, lcms[t]))
             heapify(queue)
-            live[:] = [i for i in live if not _w_divides(lh, leads[i])]
+            live[:] = [i for i in live if not divides(lh, leads[i])]
         live.append(h)
 
     for g in gens:
@@ -375,7 +401,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     stats["division_steps"] = base.steps  # the tail pass is not counted
 
     # minimal: drop elements whose lead another lead divides
-    keep = minimal_indices(leads, worder.key, _w_divides)
+    keep = minimal_indices(leads, wkey, divides)
     final = []
     for t in keep:
         others = [u for u in keep if u != t]
@@ -392,7 +418,7 @@ def is_gb(gens, worder: WeylOrder) -> bool:
     if not gens:
         raise ValueError("need at least one nonzero operator")
     _require_weyl(*gens)
-    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens])
+    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], gens[0].ring.nvars)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             s = s_operator_weyl(gens[i], gens[j], worder, _base=base, _ids=(i, j))

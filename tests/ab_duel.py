@@ -4,11 +4,13 @@
 
 BASE and CHANGE are checkout roots.  ``src/diffgb`` of each is loaded as
 its own package (``diffgb_base``, ``diffgb_change``), and each builds its
-own tasks for the complete-corpus, member-queries and weyl-gb workloads
-through a private copy of ``perfbench/workloads.py`` bound to it, from the
-pools, the seeded selection and the reference of the checkout this script
-sits in; ``perfbench`` itself is not changed.  Both run in one process,
-so host-load drift between two separate runs does not enter the ratio.
+own tasks for the complete-corpus, member-queries, weyl-gb and cli-batch
+workloads through a private copy of ``perfbench/workloads.py`` bound to
+it, from the pools, the seeded selection and the reference of the
+checkout this script sits in; ``perfbench`` itself is not changed.  The
+cli-batch problem files of each side go to a temporary directory of its
+own, removed at exit.  Both run in one process, so host-load drift
+between two separate runs does not enter the ratio.
 
 Every rep runs each task once per package, alternating task by task,
 with the order of the two flipped on every rep; each task keeps its
@@ -26,14 +28,16 @@ import importlib.util
 import json
 import random
 import sys
+import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 WORKLOADS = {"complete-corpus": "CompleteCorpus", "member-queries": "MemberQueries",
-             "weyl-gb": "WeylGB"}
+             "weyl-gb": "WeylGB", "cli-batch": "CliBatch"}
 
 
 def load_package(name: str, checkout: Path):
@@ -69,13 +73,14 @@ def bind_workloads(tag: str, dg):
                 sys.modules[k] = v
 
 
-def duel(sides, workload: str, ref, seed: int, reps: int):
+def duel(sides, workload: str, ref, seed: int, reps: int, workdirs):
     """Per side (a bound workloads module): the sum over tasks of each
     task's minimum time, and the number of answers that disagree with
-    the reference."""
+    the reference.  ``workdirs`` holds each side's cli-batch directory."""
     lists, wls = [], []
-    for wmod in sides:
-        wl = getattr(wmod, WORKLOADS[workload])(ref)
+    for wmod, workdir in zip(sides, workdirs):
+        cls = getattr(wmod, WORKLOADS[workload])
+        wl = cls(ref, workdir) if workload == "cli-batch" else cls(ref)
         wls.append(wl)
         lists.append(wl.tasks(wl.select(random.Random(seed))))
     if [t.tid for t in lists[0]] != [t.tid for t in lists[1]]:
@@ -109,11 +114,15 @@ def main(argv=None) -> int:
     ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     sides = [bind_workloads(tag, load_package(f"diffgb_{tag}", path))
              for tag, path in (("base", args.base), ("change", args.change))]
-    for workload in args.workload or list(WORKLOADS):
-        (a, b), wrong, n = duel(sides, workload, ref, args.seed, args.reps)
-        print(f"{workload}: seed {args.seed}, {n} tasks, min of {args.reps} reps: "
-              f"base {a:.3f} s, change {b:.3f} s, ratio {a / b:.3f}"
-              + (f", wrong answers base {wrong[0]} change {wrong[1]}" if any(wrong) else ""))
+    with ExitStack() as stack:
+        workdirs = [Path(stack.enter_context(tempfile.TemporaryDirectory()))
+                    for _ in sides]
+        for workload in args.workload or list(WORKLOADS):
+            (a, b), wrong, n = duel(sides, workload, ref, args.seed, args.reps, workdirs)
+            print(f"{workload}: seed {args.seed}, {n} tasks, min of {args.reps} reps: "
+                  f"base {a:.3f} s, change {b:.3f} s, ratio {a / b:.3f}"
+                  + (f", wrong answers base {wrong[0]} change {wrong[1]}"
+                     if any(wrong) else ""))
     return 0
 
 

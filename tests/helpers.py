@@ -31,7 +31,8 @@ from diffgb import (
     s_operator_weyl,
 )
 from diffgb.deltabasis import _first_failure
-from diffgb.orders import add_exp, divides, sub_exp
+from diffgb.orders import add_exp, deglex, degrevlex, divides, lex, sub_exp
+from diffgb.poly import _layout
 from diffgb.problems import parse_expression
 
 
@@ -124,20 +125,33 @@ def rand_point(rng, nvars):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)]
 
 
+def permuted_orders(nv):
+    """deglex, lex and degrevlex with a precedence other than the
+    declaration order (for nv > 1): packed keys sort through the
+    order's memoized key under them, never by value."""
+    rev = tuple(range(nv - 1, -1, -1))
+    rot = (nv - 1,) + tuple(range(nv - 1))
+    return [deglex(rev), lex(rot), degrevlex(rev)]
+
+
 # -- canonical storage --------------------------------------------------------
 
 def assert_canonical_poly(p):
     """p is stored exactly as the validating constructor stores it:
-    nvars-long exponent tuples and nonzero int numerators over a
-    positive int denominator, with no factor common to all of them,
-    and a ``terms`` view of the matching nonzero Fractions."""
+    packed int keys of nvars-long exponents that round-trip through
+    ``unpack``, and nonzero int numerators over a positive int
+    denominator, with no factor common to all of them, and a ``terms``
+    view of the matching nonzero Fractions."""
     assert p == Poly(p.nvars, p.terms)
     assert type(p._den) is int and p._den > 0
     assert gcd(p._den, *p._nums.values()) == 1
+    lay = _layout(p.nvars)
     for e, c in p._nums.items():
-        assert type(e) is tuple and len(e) == p.nvars
+        assert type(e) is int
+        u = lay.unpack(e)
+        assert len(u) == p.nvars and lay.pack(u) == e
         assert type(c) is int and c != 0
-    assert dict(p.terms) == {e: Fraction(c, p._den) for e, c in p._nums.items()}
+    assert dict(p.terms) == {lay.unpack(e): Fraction(c, p._den) for e, c in p._nums.items()}
     assert all(type(c) is Fraction for c in p.terms.values())
 
 

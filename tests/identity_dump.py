@@ -15,6 +15,12 @@ there.  Standard library only.  The hash covers:
   finiteness flags, each input's ``reduce(tail=True)`` trace, and every
   S-operator (``lam`` and ``operator``) at every lcm target of the base;
   a cap hit is hashed as its message;
+- the stair-cone generators of the converged bases of those inputs,
+  under ``lex()``, ``degrevlex()`` and deglex with the variables in
+  reverse: ``buchberger``, the ``PolyIdeal`` expression matrix,
+  ``syzygies`` and the ``divide`` of each generator by the base.  The
+  benchmark runs none of these orders, so this section is the one that
+  covers the orders whose keys sort through a memo;
 - the member-pool bases: their frozen queries through ``member`` and
   through ``reduce(tail=True)``, every cofactor, remainder and step count;
 - the reference-costed weyl-pool inputs under the deglex and the lex
@@ -80,6 +86,31 @@ def complete_section(ref, rings):
     print(f"complete: {caps} cap hits", file=sys.stderr)
 
 
+def commutative_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.FIXED + corpus.complete_pool()}
+    for i, (_, cost) in sorted(ref["complete"].items()):
+        if cost is None:
+            continue
+        prob = pool[i]
+        ring, gens = rings.gens(prob)
+        try:
+            b = dg.complete(gens, cap=prob["cap"])
+        except dg.CompletionCapExceeded:
+            continue
+        orders = (dg.lex(), dg.degrevlex(), dg.deglex(tuple(range(ring.nvars - 1, -1, -1))))
+        for a in b.stair:
+            cone = b.cones[a].generators
+            for order in orders:
+                G = dg.buchberger(cone, order)
+                A = dg.PolyIdeal(cone, order).expression_matrix
+                syz = dg.syzygies(cone, order)
+                divs = [dg.divide(g, G, order) for g in cone]
+                yield [i, list(a), str(order), [str(g) for g in G],
+                       [[str(x) for x in row] for row in A],
+                       [[str(x) for x in row] for row in syz],
+                       [[[str(x) for x in q], str(r)] for q, r in divs]]
+
+
 def member_section(ref, rings):
     pool = {p["id"]: p for p in corpus.complete_pool()}
     for i in sorted(ref["member"]):
@@ -136,7 +167,8 @@ def cli_section(ref, rings):
 def main() -> int:
     ref = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     total = hashlib.sha256()
-    for name, section in (("complete", complete_section), ("member", member_section),
+    for name, section in (("complete", complete_section),
+                          ("commutative", commutative_section), ("member", member_section),
                           ("weyl", weyl_section), ("cli", cli_section)):
         h = hashlib.sha256()
         count = 0

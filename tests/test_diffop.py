@@ -272,3 +272,11 @@ def test_arithmetic_results_are_canonical_fuzz():
         for op in (prod, q * p - prod, p + q, p - q, -p, p - p, p + (-p),
                    (p + q) - q, 3 * p, p * Fraction(-1, 2), p + r.x(0)):
             assert_canonical_op(op)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fraction(1, 2), Fraction(1), "1"])
+def test_d_exponents_that_are_not_ints_are_refused(bad):
+    with pytest.raises(ValueError, match="bad d-exponent"):
+        DiffOp(RingSpec(1), {(bad,): 1})
+    with pytest.raises(ValueError, match="bad d-exponent"):
+        DiffOp.term(RingSpec(2), (0, bad), Poly.one(2))

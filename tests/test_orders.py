@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from diffgb import Poly
 from diffgb.orders import (
     EQ,
     GT,
@@ -23,7 +24,8 @@ from diffgb.orders import (
     sub_exp,
     total_degree,
 )
-from diffgb.weylbasis import WeylExp, WeylOrder, _w_lcm
+from diffgb.poly import _layout
+from diffgb.weylbasis import WeylExp, WeylOrder, _Divisors, _packed_key
 from helpers import min_scan_pairs
 
 ALL_ORDERS = [lex(), deglex(), degrevlex()]
@@ -195,14 +197,22 @@ def test_key_cache_starts_over_at_its_limit(monkeypatch):
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda o: pickle.loads(pickle.dumps(o))])
 def test_copies_of_an_order_keep_their_own_key_cache(clone):
-    for o in (MonomialOrder("lex"), MonomialOrder("degrevlex", (1, 0))):
+    # and their own memo of sort keys of packed exponents, which keys them
+    # as the original does
+    p = Poly(2, {(1, 2): 1, (3, 0): 2, (0, 4): 3, (2, 2): 4})
+    for o in (MonomialOrder("lex"), MonomialOrder("degrevlex", (1, 0)),
+              MonomialOrder("deglex", (1, 0)), MonomialOrder("deglex")):
         o.key((1, 2))
+        want = p.lm(o)
         c = clone(o)
         assert c == o and hash(c) == hash(o) and c.prec == o.prec
         assert c._key_cache is not o._key_cache
+        assert c._packed_keys is not o._packed_keys
         assert c.key((3, 0)) == o.key((3, 0)) and c.key((1, 2)) == o.key((1, 2))
         c.key((5, 5))
         assert (5, 5) in c._key_cache and (5, 5) not in o._key_cache
+        assert p.lm(c) == want == max(p.terms, key=o.key)
+        assert (p * p).lm(c) == (p * p).lm(o) == max((p * p).terms, key=c.key)
 
 
 def _run_with_appends(pairs, start, extra, seed):
@@ -224,8 +234,9 @@ def test_critical_pairs_matches_min_scan_reference_with_appends():
                    for kx in ("deglex", "lex") for kd in ("deglex", "degrevlex")]
     for trial in range(200):
         if trial % 2:
-            lcm, key = _w_lcm, rng.choice(weyl_orders).key
-            fresh = lambda: WeylExp(tuple(rng.randint(0, 2) for _ in range(2)),
+            # the Weyl loop's leads: x-parts packed
+            lcm, key = _Divisors([], [], 2).lcm, _packed_key(rng.choice(weyl_orders), 2)
+            fresh = lambda: WeylExp(_layout(2).pack([rng.randint(0, 2) for _ in range(2)]),
                                     tuple(rng.randint(0, 2) for _ in range(2)))
         else:
             k = rng.randint(1, 3)

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from diffgb import DiffOp, MonomialOrder, Poly, RingSpec, WeylOrder
-from diffgb.orders import deglex, lex
-from diffgb.poly import primitive_scale
+from diffgb import (DiffOp, MonomialOrder, Poly, RingSpec, WeylOrder, divide, divide_weyl,
+                    s_operator_weyl)
+from diffgb.orders import degrevlex, deglex, lex, lcm_exp
+from diffgb.poly import _layout, primitive_scale
 from diffgb.weylbasis import _lead_full
-from helpers import (assert_canonical_poly, integer_primitive, rand_op, rand_point,
-                     rand_poly, rand_qpoly, ring2)
+from helpers import (assert_canonical_poly, integer_primitive, permuted_orders, rand_op,
+                     rand_point, rand_poly, rand_qpoly, ring2)
+
+LIMIT = 2 ** 31  # total degrees stay below it
 
 
 def P(nvars, items):
@@ -263,3 +266,109 @@ def test_minus_product_equals_the_difference_with_the_product_fuzz():
         assert_canonical_poly(got)
         if k % 5 == 0:
             assert got.is_zero() and got._den == 1
+
+
+# -- exponents: ints only, total degree below the limit ------------------------
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(1, 2), Fraction(2), "1"])
+def test_exponents_that_are_not_ints_are_refused(bad):
+    with pytest.raises(ValueError, match="bad exponent"):
+        Poly(2, {(1, bad): 1})
+    with pytest.raises(ValueError, match="bad exponent"):
+        Poly.monomial(1, (bad,))
+
+
+def test_a_total_degree_just_below_the_limit_round_trips():
+    top = (LIMIT - 1, 0)
+    p = Poly(2, {top: 3, (LIMIT - 3, 2): -1, (0, 1): Fraction(1, 2)})
+    assert dict(p.terms) == {top: 3, (LIMIT - 3, 2): -1, (0, 1): Fraction(1, 2)}
+    assert p.degree() == LIMIT - 1
+    for o in (deglex(), lex(), degrevlex(), *permuted_orders(2)):
+        assert p.lm(o) == max(p.terms, key=o.key)
+    assert p.leading(deglex()) == (top, 3)
+    assert dict(p.partial(0).terms) == {(LIMIT - 2, 0): 3 * (LIMIT - 1),
+                                        (LIMIT - 4, 2): -(LIMIT - 3)}
+    assert dict(p.partial(1).terms) == {(LIMIT - 3, 1): -2, (0, 0): Fraction(1, 2)}
+    g = Poly.monomial(2, (LIMIT - 3, 0)) - Poly.variable(2, 1)
+    for o in (deglex(), lex()):
+        (q,), r = divide(p, [g], o)
+        assert q * g + r == p
+        assert_canonical_poly(q)
+        assert_canonical_poly(r)
+    x1 = Poly.variable(2, 0)
+    assert (Poly.monomial(2, (LIMIT - 2, 0)) * x1).lm(deglex()) == top
+
+
+@pytest.mark.parametrize("exp", [(LIMIT,), (LIMIT - 1, 1), (LIMIT // 2, LIMIT // 2)])
+def test_a_total_degree_at_the_limit_is_refused(exp):
+    with pytest.raises(ValueError, match="limit"):
+        Poly(len(exp), {exp: 1})
+
+
+def test_a_product_that_crosses_the_limit_raises():
+    half = Poly.monomial(2, (LIMIT // 2, 0)) + 1
+    other = Poly.monomial(2, (0, LIMIT // 2)) - 1
+    with pytest.raises(ValueError, match="limit"):
+        half * other
+    with pytest.raises(ValueError, match="limit"):
+        Poly._minus_product(None, half, other)
+    with pytest.raises(ValueError, match="limit"):
+        other._minus_product(half, other)
+    x = Poly.variable(1, 0)
+    with pytest.raises(ValueError, match="limit"):
+        Poly.monomial(1, (LIMIT - 1,)) * x
+    with pytest.raises(ValueError, match="limit"):
+        x ** 3 * Poly.monomial(1, (LIMIT - 3,))
+
+
+def test_a_lex_division_that_crosses_the_limit_raises():
+    # under lex x1 > x2^k, so x1*x2 -> x2^LIMIT: the step outgrows the term
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    g = x1 - Poly.monomial(2, (0, LIMIT - 1))
+    with pytest.raises(ValueError, match="limit"):
+        divide(x1 * x2, [g], lex())
+    (q,), r = divide(x1, [g], lex())
+    assert (q, r) == (Poly.one(2), Poly.monomial(2, (0, LIMIT - 1)))
+
+
+def test_a_weyl_step_that_crosses_the_limit_raises():
+    # under the elimination order d leads d + x^(LIMIT-1), so the x-shifts
+    # of a division step and of an S-operator outgrow the monomial
+    r = RingSpec(1)
+    x, d = r.embed(r.x(0)), r.d(0)
+    g = d + r.embed(Poly.monomial(1, (LIMIT - 1,)))
+    with pytest.raises(ValueError, match="limit"):
+        divide_weyl(x * d, [g], WeylOrder())
+    with pytest.raises(ValueError, match="limit"):
+        s_operator_weyl(g, x, WeylOrder())
+    q, rem = divide_weyl(d, [g], WeylOrder())
+    assert q == [r.embed(1)] and rem == -r.embed(Poly.monomial(1, (LIMIT - 1,)))
+
+
+# -- packed keys ----------------------------------------------------------------
+
+def test_packed_lcm_matches_the_tuple_lcm_fuzz():
+    rng = random.Random(5)
+    for _ in range(300):
+        nv = rng.randint(1, 4)
+        hi = rng.choice([3, LIMIT // (2 * nv) - 1])
+        a, b = ([rng.randint(0, hi) for _ in range(nv)] for _ in range(2))
+        lay = _layout(nv)
+        l = lay.lcm(lay.pack(a), lay.pack(b))
+        assert l == lay.pack(lcm_exp(tuple(a), tuple(b)))
+
+
+def test_lm_and_leading_match_the_order_key_fuzz():
+    # the plain orders and orders whose packed keys sort through the memo
+    rng = random.Random(6)
+    for _ in range(120):
+        nv = rng.randint(1, 3)
+        p = rand_qpoly(rng, nv, 4, 6)
+        if not p:
+            continue
+        for o in (deglex(), lex(), degrevlex(), *permuted_orders(nv)):
+            e = max(p.terms, key=o.key)
+            assert p.lm(o) == e
+            assert p.leading(o) == (e, p.terms[e])
+            assert p.lc(o) == p.terms[e]
+            assert p.monic(o).lm(o) == e and p.monic(o).lc(o) == 1

@@ -331,7 +331,8 @@ ORDERS = [W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex")),
 def textbook_s_operator(f, g, worder):
     """mf*f - mg*g with mf = x^a d^b / lc(f) built out and multiplied
     one derivation at a time."""
-    (wf, cf), (wg, cg) = _lead_full(f, worder), _lead_full(g, worder)
+    (_, cf), (_, cg) = _lead_full(f, worder), _lead_full(g, worder)
+    wf, wg = exp_full(f, worder), exp_full(g, worder)
     lx, ld = tuple(map(max, wf.x, wg.x)), tuple(map(max, wf.d, wg.d))
 
     def multiplier(w, c):
@@ -342,7 +343,7 @@ def textbook_s_operator(f, g, worder):
 
 
 def divisors(ops, worder):
-    return _Divisors(ops, [exp_full(g, worder) for g in ops])
+    return _Divisors(ops, [_lead_full(g, worder)[0] for g in ops], ops[0].ring.nvars)
 
 
 def test_s_operator_matches_textbook_with_and_without_memo_fuzz():
@@ -407,9 +408,9 @@ def test_is_gb_shares_one_memo(monkeypatch):
     class Spy(_Divisors):
         __slots__ = ()
 
-        def __init__(self, ops, leads):
+        def __init__(self, ops, leads, nvars):
             made.append(len(ops))
-            super().__init__(ops, leads)
+            super().__init__(ops, leads, nvars)
 
     r = ring2()
     gens = [parse_op(r, t) for t in WEYL_GOLDEN[0][2]]
@@ -483,9 +484,9 @@ def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
     class Spy(_Divisors):
         __slots__ = ()
 
-        def __init__(self, ops, leads):
+        def __init__(self, ops, leads, nvars):
             bases.append(ops)
-            super().__init__(ops, leads)
+            super().__init__(ops, leads, nvars)
 
     def s_spy(*args, **kw):
         s_calls.append(args)
