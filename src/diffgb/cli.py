@@ -269,13 +269,13 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
             bad = next(w for w in witnesses if not w["unit"])
             doc.certificate = {k: bad[k] for k in ("direction", "certificate")}
     elif command == "syzygy":
-        zero = (0,) * ring.n
         polys = []
         for n, op in problem.operators.items():
-            if op.is_zero() or set(op.support()) != {zero}:
+            # the packed key of the zero d-exponent is 0
+            if list(op._terms) != [0]:
                 raise UsageError(
                     f"syzygy needs derivation-free nonzero operators, {n} is not")
-            polys.append(op.terms[zero])
+            polys.append(op._terms[0])
         rows = syzygies(polys, ring.x_order())
         doc.outputs = {
             "rows": [[p.to_str(ring.names) for p in row] for row in rows],

@@ -7,18 +7,22 @@ coefficients of the covering generators.  An operator is reduced when
 its leading coefficient escapes the cone ideal at its leading exponent.
 Completion adds reduced nonzero remainders of the S-operators until
 every one of them reduces to zero.
+
+The public functions take and return exponent tuples.  Inside, an
+exponent is ``DiffOp``'s packed d-key (``poly._layout(n)``), so a shift
+alpha - e is one subtraction, "e divides alpha" one guard test and an
+lcm ``_Layout.lcm``; the memos of a ``GeneratorSet`` are keyed by it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import sub
 
 from .diffop import DiffOp, RingSpec
 from .groebner import PolyIdeal, syzygies
-from .orders import ExpVec, divides, lcm_exp, minimal_indices
-from .poly import Poly
+from .orders import ExpVec, minimal_indices
+from .poly import _LIMIT, Poly, _degree_error, _layout, _sort_key
 
 
 class CompletionCapExceeded(RuntimeError):
@@ -32,12 +36,13 @@ class GeneratorSet:
     removed or moved.  So a participant index tuple always names the
     same leading coefficients in the same order, and a cone ideal
     cached under it stays valid however many generators follow.  Three
-    memos are kept under the exponent: the participants, the cone rows
-    and the S-operators (of an lcm target).  An append forgets their
-    entries for every exponent the new generator's exponent divides:
-    those are the exponents whose participants it changes.  At any
-    other exponent the S-operators stay what they were, except that
+    memos are kept under the packed exponent: the participants, the
+    cone rows and the S-operators (of an lcm target).  An append forgets
+    their entries for every exponent the new generator's exponent
+    divides: those are the exponents whose participants it changes.  At
+    any other exponent the S-operators stay what they were, except that
     their ``lam`` is one zero entry short per generator appended since.
+    ``exps`` holds the leading exponents as tuples, ``_keys`` packed.
     """
 
     def __init__(self, ops, ring: RingSpec | None = None):
@@ -45,12 +50,15 @@ class GeneratorSet:
         if not ops:
             raise ValueError("need at least one generator")
         self.ring = ops[0].ring if ring is None else ring
+        self._lay = _layout(self.ring.n)
         self.ops: tuple[DiffOp, ...] = ()
         self.exps: tuple[ExpVec, ...] = ()
+        self._keys: tuple[int, ...] = ()
+        self._exp_keys: dict[ExpVec, int] = {}  # exps -> _keys
         self._cones: dict[tuple[int, ...], PolyIdeal] = {}
-        self._idxs: dict[ExpVec, tuple[int, ...]] = {}
-        self._rows: dict[ExpVec, list] = {}
-        self._sops: dict[ExpVec, tuple] = {}
+        self._idxs: dict[int, tuple[int, ...]] = {}
+        self._rows: dict[int, list] = {}
+        self._sops: dict[int, tuple] = {}
         for p in ops:
             self._append(p)
 
@@ -59,12 +67,15 @@ class GeneratorSet:
             raise ValueError("generators must be operators over one ring")
         if p.is_zero():
             raise ValueError("zero operators cannot generate")
-        e = p.exp_delta()
+        e, g = p._exp(), self._lay.guard
         self.ops += (p,)
-        self.exps += (e,)
-        self._idxs = {a: v for a, v in self._idxs.items() if not divides(e, a)}
-        self._rows = {a: v for a, v in self._rows.items() if not divides(e, a)}
-        self._sops = {a: v for a, v in self._sops.items() if not divides(e, a)}
+        self.exps += (self._lay.unpack(e),)
+        self._keys += (e,)
+        self._exp_keys[self.exps[-1]] = e
+        # e divides a iff ((a | g) - e) & g == g (poly's layout)
+        self._idxs = {a: v for a, v in self._idxs.items() if ((a | g) - e) & g != g}
+        self._rows = {a: v for a, v in self._rows.items() if ((a | g) - e) & g != g}
+        self._sops = {a: v for a, v in self._sops.items() if ((a | g) - e) & g != g}
 
     @classmethod
     def wrap(cls, f) -> "GeneratorSet":
@@ -79,16 +90,40 @@ class GeneratorSet:
     def __getitem__(self, i):
         return self.ops[i]
 
+    def _key(self, alpha: ExpVec) -> int | None:
+        """Packed key of an exponent tuple for the divisibility tests, or
+        None when no exponent divides it (a negative entry).  Entries at
+        the degree limit or past it are clamped below it: no generator's
+        entry reaches the limit, so every test reads the same."""
+        k = self._exp_keys.get(alpha)  # the stair and the pure powers
+        if k is not None:
+            return k
+        if len(alpha) != self.ring.n:
+            raise ValueError(f"exponent length mismatch: {len(alpha)} vs {self.ring.n}")
+        if min(alpha) < 0:
+            return None
+        if sum(alpha) >= _LIMIT:
+            alpha = tuple(min(a, _LIMIT - 1) for a in alpha)
+        return self._lay.pack(alpha)
+
     def participants(self, alpha: ExpVec) -> tuple[int, ...]:
         """Indices whose leading d-exponent divides alpha."""
-        idxs = self._idxs.get(alpha)
+        a = self._key(tuple(alpha))
+        return () if a is None else self._participants(a)
+
+    def _participants(self, a: int) -> tuple[int, ...]:
+        idxs = self._idxs.get(a)
         if idxs is None:
-            idxs = tuple(i for i, e in enumerate(self.exps) if divides(e, alpha))
-            self._idxs[alpha] = idxs
+            g = self._lay.guard
+            ag = a | g
+            idxs = self._idxs[a] = tuple(
+                i for i, e in enumerate(self._keys) if (ag - e) & g == g)
         return idxs
 
     def cone_ideal(self, alpha: ExpVec) -> PolyIdeal:
-        idxs = self.participants(alpha)
+        return self._cone(self.participants(alpha))
+
+    def _cone(self, idxs: tuple[int, ...]) -> PolyIdeal:
         if idxs not in self._cones:
             gens = tuple(self.ops[i].c_delta() for i in idxs)
             self._cones[idxs] = PolyIdeal(gens, self.ring.x_order())
@@ -99,8 +134,14 @@ class GeneratorSet:
         k, with A the cone's expression matrix: leading exponent alpha
         with leading coefficient the j-th element of the cone's reduced
         base.  Built when first asked for."""
-        idxs = self.participants(alpha)
-        cone = self.cone_ideal(alpha)
+        alpha = tuple(alpha)
+        if sum(alpha) >= _LIMIT:
+            raise _degree_error(self.ring.n)
+        return self._row(self._key(alpha), j)
+
+    def _row(self, alpha: int, j: int) -> DiffOp:
+        idxs = self._participants(alpha)
+        cone = self._cone(idxs)
         rows = self._rows.get(alpha)
         if rows is None:
             rows = self._rows[alpha] = [None] * len(cone.groebner)
@@ -108,7 +149,7 @@ class GeneratorSet:
             h = DiffOp.zero(self.ring)
             for a, i in zip(cone.expression_matrix[j], idxs):
                 if a:
-                    shift = DiffOp._make(self.ring, {tuple(map(sub, alpha, self.exps[i])): a})
+                    shift = DiffOp._make(self.ring, {alpha - self._keys[i]: a})
                     h = h + shift * self.ops[i]
             rows[j] = h
         return rows[j]
@@ -133,10 +174,10 @@ def is_reduced(p: DiffOp, f) -> bool:
     if p.is_zero():
         return True
     f = GeneratorSet.wrap(f)
-    alpha = p.exp_delta()
-    if not f.participants(alpha):
+    idxs = f._participants(p._exp())
+    if not idxs:
         return True
-    return not f.cone_ideal(alpha).contains(p.c_delta())
+    return not f._cone(idxs).contains(p.c_delta())
 
 
 @dataclass
@@ -175,7 +216,8 @@ def reduce(p: DiffOp, f, tail: bool = False, _lift: bool = True) -> ReductionTra
     ring = f.ring
     if p.ring != ring:
         raise ValueError("operator ring mismatch")
-    order = ring.order_delta
+    order = _sort_key(ring.order_delta, ring.n)
+    keys = f._keys
     # cofactor terms per generator; alpha descends strictly, so a step
     # never writes a d-exponent that an earlier step wrote
     cof = [{} for _ in f.ops] if _lift else None
@@ -184,25 +226,27 @@ def reduce(p: DiffOp, f, tail: bool = False, _lift: bool = True) -> ReductionTra
     steps = 0
     prev = None
     while not cur.is_zero():
-        alpha = cur.exp_delta()
-        if prev is not None and order.compare(alpha, prev) >= 0:
-            raise AssertionError(f"reduction did not descend strictly at {alpha}")
-        prev = alpha
-        idxs = f.participants(alpha)
+        alpha = cur._exp()
+        key = alpha if order is None else order(alpha)
+        if prev is not None and key >= prev:
+            raise AssertionError(
+                f"reduction did not descend strictly at {f._lay.unpack(alpha)}")
+        prev = key
+        idxs = f._participants(alpha)
         if idxs:
-            cone = f.cone_ideal(alpha)
+            cone = f._cone(idxs)
             us, r = cone.divide(cur.c_delta())
             if not r:
                 steps += 1
                 if _lift:
                     for q, i in zip(cone.lift(us), idxs):
                         if q:
-                            cof[i][tuple(map(sub, alpha, f.exps[i]))] = q
-                terms = dict(cur.terms)
+                            cof[i][alpha - keys[i]] = q
+                terms = dict(cur._terms)
                 for j, u in enumerate(us):
                     if not u:
                         continue
-                    for e, c in f.cone_row(alpha, j).terms.items():
+                    for e, c in f._row(alpha, j)._terms.items():
                         s = Poly._minus_product(terms.pop(e, None), u, c)
                         if s:
                             terms[e] = s
@@ -224,10 +268,11 @@ def lcm_targets(f) -> list[ExpVec]:
     """Closure of the leading exponents under componentwise lcm,
     sorted ascending in the active order."""
     f = GeneratorSet.wrap(f)
-    targets: set[ExpVec] = set()
-    for e in f.exps:
-        targets |= {e} | {lcm_exp(t, e) for t in targets}
-    return sorted(targets, key=f.ring.order_delta.key)
+    lay, ring = f._lay, f.ring
+    targets: set[int] = set()
+    for e in f._keys:
+        targets |= {e} | {lay.lcm(t, e) for t in targets}
+    return [lay.unpack(t) for t in sorted(targets, key=_sort_key(ring.order_delta, ring.n))]
 
 
 @dataclass(frozen=True)
@@ -252,22 +297,25 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     since (those do not cover alpha)."""
     f = GeneratorSet.wrap(f)
     ring = f.ring
-    sops = f._sops.get(alpha)
+    alpha = tuple(alpha)
+    a = f._key(alpha) if len(alpha) == ring.n else None
+    sops = f._sops.get(a)
     if sops is not None:
         pad = len(f.ops) - len(sops[0].lam) if sops else 0
         if pad:
             zeros = (Poly.zero(ring.nvars),) * pad
-            sops = f._sops[alpha] = tuple(
+            sops = f._sops[a] = tuple(
                 SDeltaOp(alpha, s.lam + zeros, s.operator) for s in sops)
         return list(sops)
     # alpha is an lcm target iff the exponents dividing it have lcm alpha
-    idxs = f.participants(alpha) if len(alpha) == ring.n else ()
+    idxs = () if a is None else f._participants(a)
     if not idxs or tuple(map(max, zip(*(f.exps[i] for i in idxs)))) != alpha:
         raise ValueError(f"{alpha} is not an lcm target of the generator exponents")
     # the cone ideal holds these same coefficients in this same order,
     # so its cached base is the one syzygies would compute
-    cone = f.cone_ideal(alpha)
+    cone = f._cone(idxs)
     basis = (cone.groebner, cone.expression_matrix)
+    order = _sort_key(ring.order_delta, ring.n)
     out = []
     for part in syzygies(cone.generators, ring.x_order(), _basis=basis):
         lam = [Poly.zero(ring.nvars) for _ in f.ops]
@@ -276,12 +324,12 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
             lam[i] = part[pos]
             if part[pos].is_zero():
                 continue
-            shift = DiffOp._make(ring, {tuple(map(sub, alpha, f.exps[i])): part[pos]})
+            shift = DiffOp._make(ring, {a - f._keys[i]: part[pos]})
             op = op + shift * f.ops[i]
-        if not op.is_zero() and ring.order_delta.compare(op.exp_delta(), alpha) >= 0:
+        if op and (op._exp() >= a if order is None else order(op._exp()) >= order(a)):
             raise AssertionError(f"S-operator at {alpha} does not drop below it")
         out.append(SDeltaOp(alpha, tuple(lam), op))
-    f._sops[alpha] = tuple(out)
+    f._sops[a] = tuple(out)
     return out
 
 

@@ -9,6 +9,19 @@ maps d-exponent -> H-coefficient; products follow the Leibniz rule
 The d-part invariants (support, leading exponent, leading coefficient)
 are taken with respect to the ring's d-order and drive every basis
 computation downstream.
+
+A d-exponent is stored packed in ``poly``'s layout for n variables
+(``poly._layout(n)``): ``_terms`` maps packed d-key -> nonzero ``Poly``.
+The Leibniz product adds and subtracts keys, ``d^b * d^c`` having the
+key ``b + c``, and every total d-degree stays below ``poly._LIMIT`` =
+2^31, as x-degrees do; ``DiffOp(...)`` and ``__mul__`` raise
+``ValueError`` at the limit.  The leading key ``_exp()`` is
+``max(_terms)`` under deglex in declaration order and goes through the
+d-order's memo of packed keys (``poly._sort_key``) under any other.
+The API still hands out tuples: ``terms`` is a read-only view
+d-exponent tuple -> ``Poly`` built on first read, and ``exp_delta``,
+``in_delta`` and ``support`` unpack.  ``DiffOp._make`` is the trusted
+constructor of code in this package that builds ``_terms`` itself.
 """
 
 from __future__ import annotations
@@ -16,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .orders import ExpVec, MonomialOrder
-from .poly import Poly, primitive_scale
+from .poly import _LIMIT, Poly, _degree_error, _layout, _sort_key, primitive_scale
 
 
 @dataclass(frozen=True)
@@ -66,12 +80,15 @@ class RingSpec:
     def d(self, i: int) -> "DiffOp":
         if not 0 <= i < self.n:
             raise ValueError(f"derivation index {i} out of range")
-        e = tuple(1 if j == i else 0 for j in range(self.n))
-        return DiffOp(self, {e: Poly.one(self.nvars)})
+        return DiffOp._make(self, {_layout(self.n).units[i]: Poly.one(self.nvars)})
 
     def embed(self, p) -> "DiffOp":
         """H (or Q) embedded as order-zero operators."""
-        return DiffOp(self, {(0,) * self.n: p})
+        if isinstance(p, (int, Fraction)):
+            p = Poly.constant(self.nvars, p)
+        elif p.nvars != self.nvars:
+            raise ValueError("coefficient lives in the wrong polynomial ring")
+        return DiffOp._make(self, {0: p} if p else {})
 
     def diff(self, f: Poly, i: int) -> Poly:
         """d_i applied to a coefficient; parameters carry no derivation."""
@@ -91,13 +108,15 @@ class InitialTerm:
         return iter((self.coeff, self.exponent))
 
 
-def _leibniz_shifts(beta: ExpVec, p: Poly):
+def _leibniz_shifts(beta: ExpVec, units, p: Poly):
     """All (gamma, binom(beta,gamma) * d^gamma p) with gamma <= beta and
-    a nonzero value.  Differentiation is pruned variable by variable."""
-    items = [((0,) * len(beta), p)]
+    a nonzero value, gamma packed with the d-layout's ``units``.
+    Differentiation is pruned variable by variable."""
+    items = [(0, p)]
     for i, bi in enumerate(beta):
         if not bi:
             continue
+        u = units[i]
         grown = []
         for g, q in items:
             grown.append((g, q))
@@ -106,8 +125,7 @@ def _leibniz_shifts(beta: ExpVec, p: Poly):
                 dq = dq.partial(i)
                 if dq.is_zero():
                     break
-                gg = g[:i] + (k,) + g[i + 1:]
-                grown.append((gg, dq * comb(bi, k)))
+                grown.append((g + k * u, dq * comb(bi, k)))
         items = grown
     return items
 
@@ -115,15 +133,19 @@ def _leibniz_shifts(beta: ExpVec, p: Poly):
 class DiffOp:
     """Element of D in normal form: coefficients to the left of the d's."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "_terms", "_view", "_lead")
 
     def __init__(self, ring: RingSpec, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        data: dict[ExpVec, Poly] = {}
+        pack = _layout(ring.n).pack
+        data: dict[int, Poly] = {}
         for e, p in items:
             e = tuple(e)
             if len(e) != ring.n or not all(isinstance(k, int) and k >= 0 for k in e):
                 raise ValueError(f"bad d-exponent {e} for n={ring.n}")
+            if sum(e) >= _LIMIT:
+                raise _degree_error(ring.n)
+            e = pack(e)
             if isinstance(p, (int, Fraction)):
                 p = Poly.constant(ring.nvars, p)
             if p.nvars != ring.nvars:
@@ -139,25 +161,43 @@ class DiffOp:
             else:
                 data[e] = p
         self.ring = ring
-        self.terms = data
+        self._terms = data
+        self._view = None
         self._lead = None
 
     @classmethod
     def _make(cls, ring: RingSpec, data: dict) -> "DiffOp":
         """Trusted constructor: no validation, ``data`` is kept as is.
-        The caller guarantees valid d-exponents, nonzero coefficients
-        from ``ring``'s polynomial ring, and an unshared dict."""
+        The caller guarantees packed keys of valid d-exponents, nonzero
+        coefficients from ``ring``'s polynomial ring, and an unshared
+        dict."""
         op = object.__new__(cls)
         op.ring = ring
-        op.terms = data
+        op._terms = data
+        op._view = None
         op._lead = None
         return op
+
+    def __reduce__(self):
+        # the view in _view is rebuilt on demand, and it does not pickle
+        return DiffOp._make, (self.ring, self._terms)
+
+    @property
+    def terms(self):
+        """Read-only view d-exponent tuple -> nonzero ``Poly``, built on
+        first read."""
+        t = self._view
+        if t is None:
+            unpack = _layout(self.ring.n).unpack
+            t = self._view = MappingProxyType(
+                {unpack(e): p for e, p in self._terms.items()})
+        return t
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "DiffOp":
-        return cls(ring)
+        return cls._make(ring, {})
 
     @classmethod
     def term(cls, ring: RingSpec, exp: ExpVec, coeff) -> "DiffOp":
@@ -166,61 +206,67 @@ class DiffOp:
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Poly)):
             other = self.ring.embed(other)
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     def support(self) -> frozenset:
         """Set of d-exponents carrying a nonzero coefficient."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("the zero operator has empty support")
         return frozenset(self.terms)
 
     def order_total(self) -> int:
         """Largest total d-degree appearing; -1 for zero."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        # the degree field is the top one
+        return max(self._terms) >> _layout(self.ring.n).dshift
 
     # -- d-invariants ----------------------------------------------------
 
     def _leading(self):
+        """(packed leading d-exponent, its coefficient), memoized."""
         if self._lead is None:
-            if not self.terms:
+            if not self._terms:
                 raise ValueError("the zero operator has no leading data")
-            e = self.ring.order_delta.max(self.terms)
-            self._lead = (e, self.terms[e])
+            key = _sort_key(self.ring.order_delta, self.ring.n)
+            e = max(self._terms) if key is None else max(self._terms, key=key)
+            self._lead = (e, self._terms[e])
         return self._lead
+
+    def _exp(self) -> int:
+        """Packed leading d-exponent."""
+        return self._leading()[0]
 
     def exp_delta(self) -> ExpVec:
         """Leading d-exponent under the ring's d-order."""
-        return self._leading()[0]
+        return _layout(self.ring.n).unpack(self._leading()[0])
 
     def c_delta(self) -> Poly:
         """Coefficient of the leading d-exponent (nonzero by construction)."""
         return self._leading()[1]
 
     def in_delta(self) -> InitialTerm:
-        e, c = self._leading()
-        return InitialTerm(c, e)
+        return InitialTerm(self.c_delta(), self.exp_delta())
 
     # -- arithmetic ------------------------------------------------------
 
     def _plus(self, other: "DiffOp", sign: int) -> "DiffOp":
         """self + sign*other, coefficient by coefficient through Poly._plus."""
-        data = dict(self.terms)
-        for e, p in other.terms.items():
+        data = dict(self._terms)
+        for e, p in other._terms.items():
             s = data.get(e)
             if s is None:
                 data[e] = p if sign > 0 else -p
@@ -241,7 +287,7 @@ class DiffOp:
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffOp._make(self.ring, {e: -p for e, p in self.terms.items()})
+        return DiffOp._make(self.ring, {e: -p for e, p in self._terms.items()})
 
     def __sub__(self, other):
         other = _as_op(self.ring, other)
@@ -257,14 +303,20 @@ class DiffOp:
         other = _as_op(self.ring, other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[ExpVec, Poly] = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                for gamma, q in _leibniz_shifts(e1, p2):
-                    e = tuple(a - g + b for a, g, b in zip(e1, gamma, e2))
+        lay = _layout(self.ring.n)
+        top, units = lay.top, lay.units
+        acc: dict[int, Poly] = {}
+        b = other._terms.items()
+        for e1, p1 in self._terms.items():
+            beta = lay.unpack(e1)
+            for e2, p2 in b:
+                e = e1 + e2
+                if e >= top:
+                    raise _degree_error(self.ring.n)
+                for gamma, q in _leibniz_shifts(beta, units, p2):
                     v = p1 * q
-                    cur = acc.get(e)
-                    acc[e] = v if cur is None else cur + v
+                    cur = acc.get(e - gamma)
+                    acc[e - gamma] = v if cur is None else cur + v
         return DiffOp._make(self.ring, {e: p for e, p in acc.items() if p})
 
     def __rmul__(self, other):
@@ -284,28 +336,28 @@ class DiffOp:
     def primitive(self) -> "DiffOp":
         """Scalar-normalized copy: integer coefficients with overall
         content 1 and positive leading sign of the leading coefficient."""
-        if not self.terms:
+        if not self._terms:
             return self
         lead = self.c_delta().lc(self.ring.x_order())
-        c = primitive_scale(self.terms.values(), lead)
-        return DiffOp._make(self.ring, {e: p._scaled(c) for e, p in self.terms.items()})
+        c = primitive_scale(self._terms.values(), lead)
+        return DiffOp._make(self.ring, {e: p._scaled(c) for e, p in self._terms.items()})
 
     # -- printing ----------------------------------------------------------
 
     def to_str(self) -> str:
         """Canonical display form, reparseable by the problem grammar."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         ring = self.ring
+        unpack = _layout(ring.n).unpack
         parts = []
-        for e in sorted(self.terms, key=ring.order_delta.key, reverse=True):
-            p = self.terms[e]
+        for k in sorted(self._terms, key=_sort_key(ring.order_delta, ring.n), reverse=True):
             dpart = "*".join(
-                nm + (f"^{k}" if k > 1 else "")
-                for nm, k in zip(ring.dnames, e)
-                if k
+                nm + (f"^{j}" if j > 1 else "")
+                for nm, j in zip(ring.dnames, unpack(k))
+                if j
             )
-            body = f"({p.to_str(names=ring.names)})"
+            body = f"({self._terms[k].to_str(names=ring.names)})"
             parts.append(f"{body}*{dpart}" if dpart else body)
         return " + ".join(parts)
 

@@ -64,8 +64,8 @@ def flatness_report(b: DeltaBasis) -> FlatnessReport:
     xo = ring.x_order()
     cone_ideals = dict(b.cones)
     j = product_ideal((cone_ideals[a] for a in b.stair), xo, ring.nvars)
-    zero = (0,) * ring.n
-    zero_gens = tuple(p.c_delta() for p in b.ops if p.exp_delta() == zero)
+    # the packed key of the zero d-exponent is 0
+    zero_gens = tuple(p.c_delta() for p in b.ops if not p._exp())
     zero_cone = PolyIdeal(zero_gens, xo)
     return FlatnessReport(
         stair=b.stair,

@@ -34,33 +34,10 @@ def _same_length(a: ExpVec, b: ExpVec) -> None:
         raise ValueError(f"exponent length mismatch: {len(a)} vs {len(b)}")
 
 
-def add_exp(a: ExpVec, b: ExpVec) -> ExpVec:
-    _same_length(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_exp(a: ExpVec, b: ExpVec) -> ExpVec:
-    """Componentwise difference; only defined when it stays in N^k."""
-    _same_length(a, b)
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        raise ValueError(f"{a} - {b} leaves N^{len(a)}")
-    return out
-
-
-def lcm_exp(a: ExpVec, b: ExpVec) -> ExpVec:
-    _same_length(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def divides(a: ExpVec, b: ExpVec) -> bool:
     """True iff b lies in the translated cone a + N^k."""
     _same_length(a, b)
     return all(x <= y for x, y in zip(a, b))
-
-
-def total_degree(a: ExpVec) -> int:
-    return sum(a)
 
 
 def minimal_indices(leads, key, divides=divides) -> list[int]:

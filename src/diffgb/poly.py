@@ -231,6 +231,10 @@ class Poly:
         p._terms = None
         return p
 
+    def __reduce__(self):
+        # the view in _terms is rebuilt on demand, and it does not pickle
+        return Poly._make, (self.nvars, self._nums, self._den)
+
     @property
     def terms(self):
         """Read-only view exponent tuple -> nonzero ``Fraction``, built

@@ -69,21 +69,23 @@ _TOKEN_RE = re.compile(
 
 def _monomials(op: DiffOp) -> list[tuple]:
     """The exponents of op's terms, x and d together."""
-    unpack = _layout(op.ring.nvars).unpack
-    return [unpack(x) + d for d, p in op.terms.items() for x in p._nums]
+    ux, ud = _layout(op.ring.nvars).unpack, _layout(op.ring.n).unpack
+    return [ux(x) + ud(d) for d, p in op._terms.items() for x in p._nums]
 
 
 def _product_cost(a: DiffOp, b: DiffOp) -> int:
     """A bound on the monomial products a*b takes: |a|*|b| term pairs,
     each spilling at most min(k, j) + 1 Leibniz terms per slot i, where
     k is the highest power of d_i in a and j that of x_i in b."""
-    cost = (sum(len(p._nums) for p in a.terms.values())
-            * sum(len(p._nums) for p in b.terms.values()))
-    shifts = _layout(b.ring.nvars).shifts
-    for i, k in enumerate(map(max, zip(*a.terms))):
-        if k and cost:
-            s = shifts[i]
-            j = max((x >> s) & _FIELD for p in b.terms.values() for x in p._nums)
+    cost = (sum(len(p._nums) for p in a._terms.values())
+            * sum(len(p._nums) for p in b._terms.values()))
+    xs, ds = _layout(b.ring.nvars).shifts, _layout(a.ring.n).shifts
+    for i, s in enumerate(ds):
+        if not cost:
+            break
+        k = max((d >> s) & _FIELD for d in a._terms)
+        if k:
+            j = max((x >> xs[i]) & _FIELD for p in b._terms.values() for x in p._nums)
             cost *= min(k, j) + 1
     return cost
 
@@ -339,7 +341,10 @@ class _Parser:
                         raise ParseError(
                             f"product may exceed the limit of {MAX_TERMS} terms",
                             t.line, t.col)
-                value = value * rhs
+                try:
+                    value = value * rhs
+                except ValueError as e:  # a degree reaches the limit
+                    raise ParseError(str(e), t.line, t.col) from None
             else:
                 return value
 
@@ -439,9 +444,11 @@ def rebind_order(problem: ProblemFile, kind: str) -> ProblemFile:
     """Same problem under a different d-order kind."""
     old = problem.ring
     ring = RingSpec(old.n, old.m, old.names, old.dnames, MonomialOrder(kind))
-    ops = {k: DiffOp(ring, v.terms) for k, v in problem.operators.items()}
+    # the packed d-keys do not depend on the order
+    ops = {k: DiffOp._make(ring, dict(v._terms)) for k, v in problem.operators.items()}
     cmd = problem.command
     if cmd is not None:
-        expr = DiffOp(ring, cmd.expr.terms) if cmd.expr is not None else None
+        expr = (DiffOp._make(ring, dict(cmd.expr._terms))
+                if cmd.expr is not None else None)
         cmd = Command(cmd.name, expr, cmd.alpha)
     return ProblemFile(ring, ops, cmd)

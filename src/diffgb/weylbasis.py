@@ -33,27 +33,42 @@ costs as much as the product itself, so a memo of d^b * F alone does
 not pay there.  It caches whole cone rows instead
 (``GeneratorSet.cone_row``), which a step multiplies by the small
 quotients over the cone's reduced base.
+
+The kernels hold a monomial x^a d^b as one int, its full key
+``d << S | x``: d and x are ``Poly``'s packed keys of b and a in the
+layout of n variables (``poly._layout(n)``, as m = 0), and S = 32*(n+1)
+is the width of such a key.  Under deglex/deglex in declaration order
+(the default) comparing full keys is the elimination order, so a lead
+is ``max`` of the keys; any other order sorts through a memo of
+``(kd(d), kx(x))`` (``_full_key``).  Shifts add and subtract full keys,
+and "a divides b" is one guard test, ``((b | G) - a) & G == G`` with
+``G = guard << S | guard``: the only borrow that crosses a field is the
+x-half's degree field borrowing from the d-half, which happens only
+when a's x-degree exceeds b's, and then a guard bit of the x-half is
+already clear.  A division works on one flat dict, full key -> integer
+numerator, and the pair loop and the final pass make each new element
+integer-primitive straight from its remainder's numerators.
+``WeylExp`` and ``exp_full`` are the tuple views of the public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop
 from math import gcd, lcm
-from operator import add, le, sub
 from typing import NamedTuple
 
 from .deltabasis import CompletionCapExceeded, GeneratorSet, is_delta_groebner
 from .diffop import DiffOp, RingSpec
-from .orders import MonomialOrder, minimal_indices
-from .poly import Poly, _degree_error, _layout, _lowest, _sort_key, primitive_scale
+from .orders import MonomialOrder, _KeyMemo, minimal_indices
+from .poly import _W, Poly, _degree_error, _layout, _lowest, _sort_key, primitive_scale
 
 
 class WeylExp(NamedTuple):
-    """Full exponent of a monomial x^a d^b.  ``exp_full`` returns x as
-    a tuple; the kernels of this module hold it as ``Poly``'s packed
-    key."""
+    """Full exponent of a monomial x^a d^b, as ``exp_full`` returns it;
+    the kernels of this module hold it as one int, its full key."""
 
     x: tuple
     d: tuple
@@ -83,6 +98,24 @@ def _require_weyl(*ops: DiffOp) -> None:
         raise ValueError("classical bases need a pure operator ring (m = 0)")
 
 
+@cache
+def _full_key(worder: WeylOrder, nvars: int):
+    """Sort key of ``worder`` on the full keys of ``nvars`` variables:
+    None when the keys are their own (deglex/deglex in declaration
+    order), else a memo of (d-key, x-key) through each order's sort key
+    of packed exponents."""
+    kd, kx = _sort_key(worder.order_d, nvars), _sort_key(worder.order_x, nvars)
+    if kd is None and kx is None:
+        return None
+    s = _W * (nvars + 1)
+    mask = (1 << s) - 1
+
+    def key(w):
+        d, x = w >> s, w & mask
+        return (d if kd is None else kd(d), x if kx is None else kx(x))
+    return _KeyMemo(key).__getitem__
+
+
 def exp_full(p: DiffOp, worder: WeylOrder) -> WeylExp:
     """Largest monomial exponent of p under the elimination order:
     the x-exponent of the leading monomial of the leading d-coefficient,
@@ -90,24 +123,19 @@ def exp_full(p: DiffOp, worder: WeylOrder) -> WeylExp:
     _require_weyl(p)
     if p.is_zero():
         raise ValueError("the zero operator has no leading exponent")
-    x, d = _lead_full(p, worder)[0]
-    return WeylExp(_layout(p.ring.nvars).unpack(x), d)
+    w, n = _lead_full(p, worder)[0], p.ring.n
+    s, unpack = _W * (n + 1), _layout(n).unpack
+    return WeylExp(unpack(w & ((1 << s) - 1)), unpack(w >> s))
 
 
-def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[WeylExp, Fraction]:
-    """Leading exponent, its x-part packed, and leading coefficient."""
-    beta = worder.order_d.max(p.terms)
-    coeff = p.terms[beta]
+def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[int, Fraction]:
+    """Full key of the leading monomial, and its coefficient."""
+    n = p.ring.n
+    kd = _sort_key(worder.order_d, n)
+    beta = max(p._terms) if kd is None else max(p._terms, key=kd)
+    coeff = p._terms[beta]
     e = coeff._lm(worder.order_x)
-    return WeylExp(e, beta), Fraction(coeff._nums[e], coeff._den)
-
-
-def _packed_key(worder: WeylOrder, nvars: int):
-    """``worder.key`` on leads whose x-part is packed."""
-    kd, kx = worder.order_d.key, _sort_key(worder.order_x, nvars)
-    if kx is None:
-        return lambda w: (kd(w.d), w.x)
-    return lambda w: (kd(w.d), kx(w.x))
+    return beta << _W * (n + 1) | e, Fraction(coeff._nums[e], coeff._den)
 
 
 class _Divisors:
@@ -116,65 +144,152 @@ class _Divisors:
 
     ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
     base, which only grows), and k indexes them; a division by a
-    sublist names each divisor's k through ``_ids``, never by its
-    position there.  Each lead is a ``WeylExp`` with its x-part packed
-    in the layout ``lay`` of ``Poly``'s keys.  An entry is (den, lc,
-    terms, top): den * d^b * ops[k] = sum over terms e -> (nums, scale)
-    of scale * nums[x] * x^x d^e, with the x-exponents x packed, lc the
-    integer at the product's leading monomial, and top its largest
-    x-key.  The elimination order does not bound the x-degrees of the
-    terms below a lead, so each x-shift xs of an entry checks the
-    degree limit on ``xs + top`` before it is applied.
+    sublist names each divisor's k through its ids, never by its
+    position there.  Each lead is a full key, and so is every monomial
+    below; ``shift`` is S, ``mask`` selects the x-half and ``guard``
+    holds the guard bits of both halves.  A memo entry, with b a packed
+    d-key, is (den, lc, terms, top): den * d^b * ops[k] = sum over terms
+    e -> integer of integer * monomial e, lc the integer at the
+    product's lead, and top its largest x-key.  The elimination order
+    does not bound the x-degrees of the terms below a lead, so each
+    shift of an entry checks the degree limit on its x-half plus top
+    before it is applied.
     """
 
-    __slots__ = ("ops", "leads", "lay", "done", "steps")
+    __slots__ = ("ops", "leads", "lay", "shift", "mask", "guard", "done", "steps")
 
     def __init__(self, ops, leads, nvars: int):
         self.ops = ops
         self.leads = leads
-        self.lay = _layout(nvars)
+        lay = self.lay = _layout(nvars)
+        self.shift = s = _W * (nvars + 1)
+        self.mask = (1 << s) - 1
+        self.guard = lay.guard << s | lay.guard
         self.done = {}
         self.steps = 0
 
-    def shifted(self, k: int, b: tuple):
+    def shifted(self, k: int, b: int):
         entry = self.done.get((k, b))
         if entry is None:
-            g, lead = self.ops[k], self.leads[k]
-            if any(b):
+            g = self.ops[k]
+            if b:
                 g = DiffOp._make(g.ring, {b: Poly.one(g.ring.nvars)}) * g
-            den = lcm(*(pl._den for pl in g.terms.values()))
-            terms = {e: (pl._nums, den // pl._den) for e, pl in g.terms.items()}
-            nums, scale = terms[tuple(map(add, b, lead.d))]
-            top = max(max(pl._nums) for pl in g.terms.values())
-            entry = den, nums[lead.x] * scale, terms, top
+            den = lcm(*(pl._den for pl in g._terms.values()))
+            s, terms, top = self.shift, {}, 0
+            for e, pl in g._terms.items():
+                m, e = den // pl._den, e << s
+                for x, c in pl._nums.items():
+                    terms[e | x] = c * m
+                top = max(top, max(pl._nums))
+            entry = den, terms[(b << s) + self.leads[k]], terms, top
             self.done[(k, b)] = entry
         return entry
 
-    def divides(self, a: WeylExp, b: WeylExp) -> bool:
-        g = self.lay.guard
-        return ((b.x | g) - a.x) & g == g and all(map(le, a.d, b.d))
+    def divides(self, a: int, b: int) -> bool:
+        """Does the monomial a divide b?  One guard test, as in ``poly``:
+        no variable field borrows from its neighbour, and its guard bit
+        stays set iff b's field is at least a's.  The x-half's degree
+        field, which has no guard bit, borrows into the d-half only when
+        a's x-degree exceeds b's; then some field of a exceeds b's, its
+        guard bit is already clear, and the answer is no either way."""
+        g = self.guard
+        return ((b | g) - a) & g == g
 
-    def lcm(self, a: WeylExp, b: WeylExp) -> WeylExp:
-        return WeylExp(self.lay.lcm(a.x, b.x), tuple(map(max, a.d, b.d)))
+    def lcm(self, a: int, b: int) -> int:
+        """Full key of the lcm, half by half.  Each degree stays below
+        2^32, so the x-half's degree field does not carry into the d-half."""
+        s, mask, lcm = self.shift, self.mask, self.lay.lcm
+        return lcm(a >> s, b >> s) << s | lcm(a & mask, b & mask)
 
 
-def _subtract(work: dict, m: int, terms: dict, xshift: int) -> None:
-    """work -= m * x^xshift * terms, both in the form of ``_Divisors``
-    entries (d-exponent -> packed x-exponent -> integer), cancelled
-    entries and emptied rows dropped."""
-    for b, (nums, scale) in terms.items():
-        row = work.setdefault(b, {})
-        f = m * scale
-        for x, n in nums.items():
-            if xshift:
-                x += xshift
-            nc = row.get(x, 0) - f * n
-            if nc:
-                row[x] = nc
-            else:
-                del row[x]
-        if not row:
-            del work[b]
+def _divide_weyl(p: DiffOp, worder: WeylOrder, base: _Divisors, ids, cofd=None):
+    """The fraction-free division kernel of ``divide_weyl`` by the
+    elements of ``base`` at the indices ``ids``.
+
+    Returns (nums, den): the remainder is sum nums[e] / den * e over
+    full keys e, nonzero numerators only, in the order the steps met
+    them, so descending and led by the remainder's lead.  With
+    ``cofd`` (a dict per divisor) each quotient term is recorded there
+    as d-key -> (gc, x-key -> (numerator, den at the step)).
+    """
+    shifted, leads, s, mask = base.shifted, base.leads, base.shift, base.mask
+    guard, limit = base.guard, base.lay.top
+    divisors = [(leads[k], k) for k in ids]
+    wkey = _full_key(worder, p.ring.nvars)
+
+    # working copy: full key -> integer numerator over the running
+    # denominator den, zero entries dropped eagerly so max() only sees
+    # live monomials
+    den = lcm(*(pl._den for pl in p._terms.values()))
+    work = {b << s | x: c * (den // pl._den)
+            for b, pl in p._terms.items() for x, c in pl._nums.items()}
+    rem = {}  # full key -> (numerator, den when it left work)
+
+    prev = None
+    while work:
+        m = max(work) if wkey is None else max(work, key=wkey)
+        c = work[m]
+        key = m if wkey is None else wkey(m)
+        if prev is not None and key >= prev:
+            unpack = base.lay.unpack
+            raise AssertionError(f"division did not descend strictly at "
+                                 f"{WeylExp(unpack(m & mask), unpack(m >> s))}")
+        prev = key
+        base.steps += 1
+        mg = m | guard
+        for i, (lead, k) in enumerate(divisors):
+            if (mg - lead) & guard == guard:
+                # the head divides: x^xs d^ds * g leads at the step's
+                # monomial, and the memo holds d^ds * g
+                shift = m - lead
+                ds, xs = shift >> s, shift & mask
+                pd, gc, terms, top = shifted(k, ds)
+                if xs + top >= limit:
+                    raise _degree_error(p.ring.nvars)
+                if cofd is not None:
+                    # the quotient term is c * pd / (den * gc); every term
+                    # of one d-shift reads the same memo entry, so one gc
+                    cofd[i].setdefault(ds, (gc, {}))[1][xs] = (c * pd, den)
+                h = gcd(c, gc)
+                u, t = gc // h, c // h
+                if u < 0:
+                    u, t = -u, -t
+                if u != 1:
+                    work = {e: v * u for e, v in work.items()}
+                    den *= u
+                get = work.get
+                for e, n in terms.items():
+                    e += xs
+                    n = get(e, 0) - t * n
+                    if n:
+                        work[e] = n
+                    else:
+                        del work[e]
+                break
+        else:
+            rem[m] = (c, den)
+            del work[m]
+    return {e: c * (den // d) for e, (c, d) in rem.items()}, den
+
+
+def _unflatten(ring: RingSpec, nums: dict, den: int, base: _Divisors) -> DiffOp:
+    """The operator sum nums[e] / den * e over full keys e."""
+    slots: dict = {}
+    s, mask = base.shift, base.mask
+    for e, c in nums.items():
+        slots.setdefault(e >> s, {})[e & mask] = c
+    nv = ring.nvars
+    return DiffOp._make(ring, {b: _lowest(nv, xs, den) for b, xs in slots.items()})
+
+
+def _primitive_rem(ring: RingSpec, nums: dict, base: _Divisors) -> DiffOp:
+    """The integer-primitive operator with positive lead of a nonzero
+    remainder from ``_divide_weyl``: its numerators over their gcd,
+    signed by the first, which is the lead."""
+    g = gcd(*nums.values())
+    if next(iter(nums.values())) < 0:
+        g = -g
+    return _unflatten(ring, {e: c // g for e, c in nums.items()}, 1, base)
 
 
 def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
@@ -199,69 +314,10 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
     if quotients:
         _require_weyl(*gens)
         _base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], nv)
-    shifted, leads = _base.shifted, _base.leads
-    guard, limit = _base.lay.guard, _base.lay.top
-    divisors = [(leads[k].x, leads[k].d, k)
-                for k in (range(len(gens)) if _ids is None else _ids)]
-    kd, kx = worder.order_d.key, _sort_key(worder.order_x, nv)
-
-    # fraction-free working copy: d-exponent -> x-exponent -> integer
-    # numerator over the running denominator den, zero entries dropped
-    # eagerly so max() only sees live monomials
-    den = lcm(*(pl._den for pl in p.terms.values()))
-    work = {beta: {xe: c * (den // pl._den) for xe, c in pl._nums.items()}
-            for beta, pl in p.terms.items()}
-    cofd = [{} for _ in gens]
-    remd = {}  # d-exponent -> x-exponent -> (numerator, den when it left work)
-
-    prev = None
-    while work:
-        beta = max(work, key=kd)
-        slot = work[beta]
-        xe = max(slot) if kx is None else max(slot, key=kx)
-        c = slot[xe]
-        # worder.key of the step's monomial
-        key = (kd(beta), xe if kx is None else kx(xe))
-        if prev is not None and key >= prev:
-            raise AssertionError(
-                f"division did not descend strictly at "
-                f"{WeylExp(_base.lay.unpack(xe), beta)}")
-        prev = key
-        _base.steps += 1
-        xg = xe | guard
-        for i, (hx, hd, k) in enumerate(divisors):
-            if (xg - hx) & guard == guard and all(map(le, hd, beta)):
-                # the head divides, so both differences stay in N^k
-                dshift = tuple(map(sub, beta, hd))
-                xshift = xe - hx
-                # x^xshift d^dshift * g leads at the step's monomial
-                pd, gc, terms, top = shifted(k, dshift)
-                if xshift + top >= limit:
-                    raise _degree_error(nv)
-                if quotients:
-                    # the quotient term is c * pd / (den * gc); every term
-                    # of one d-shift reads the same memo entry, so one gc
-                    cofd[i].setdefault(dshift, (gc, {}))[1][xshift] = (c * pd, den)
-                h = gcd(c, gc)
-                s, t = gc // h, c // h
-                if s < 0:
-                    s, t = -s, -t
-                if s != 1:
-                    for row in work.values():
-                        for x in row:
-                            row[x] *= s
-                    den *= s
-                _subtract(work, t, terms, xshift)
-                break
-        else:
-            remd.setdefault(beta, {})[xe] = (c, den)
-            del slot[xe]
-            if not slot:
-                del work[beta]
-
-    rem = DiffOp._make(p.ring, {
-        b: _lowest(nv, {x: c * (den // d) for x, (c, d) in xs.items()}, den)
-        for b, xs in remd.items()})
+    cofd = [{} for _ in gens] if quotients else None
+    nums, den = _divide_weyl(p, worder, _base, range(len(gens)) if _ids is None else _ids,
+                             cofd)
+    rem = _unflatten(p.ring, nums, den, _base)
     if not quotients:
         return None, rem
     # strict descent writes each (d, x) slot once, with a nonzero entry;
@@ -280,8 +336,8 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
 
 def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     """Integer-primitive scaling with positive lead under ``worder``."""
-    c = primitive_scale(p.terms.values(), _lead_full(p, worder)[1])
-    return DiffOp._make(p.ring, {e: pl._scaled(c) for e, pl in p.terms.items()})
+    c = primitive_scale(p._terms.values(), _lead_full(p, worder)[1])
+    return DiffOp._make(p.ring, {e: pl._scaled(c) for e, pl in p._terms.items()})
 
 
 def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
@@ -300,20 +356,25 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
     l = _base.lcm(wf, wg)
     # mf * f = Af / af with Af the memo's integer form of x^a d^b * f
     # and af its lead, so S = Af / af - Ag / ag = (u*Af - v*Ag) / (u*af)
-    _, af, tf, topf = _base.shifted(i, tuple(map(sub, l.d, wf.d)))
-    _, ag, tg, topg = _base.shifted(j, tuple(map(sub, l.d, wg.d)))
-    xf, xg = l.x - wf.x, l.x - wg.x
-    nv = f.ring.nvars
+    sf, sg, s, mask = l - wf, l - wg, _base.shift, _base.mask
+    _, af, tf, topf = _base.shifted(i, sf >> s)
+    _, ag, tg, topg = _base.shifted(j, sg >> s)
+    xf, xg = sf & mask, sg & mask
     if max(xf + topf, xg + topg) >= _base.lay.top:
-        raise _degree_error(nv)
+        raise _degree_error(f.ring.nvars)
     h = gcd(af, ag)
     u, v = ag // h, af // h
     if u * af < 0:
         u, v = -u, -v
-    work: dict = {}
-    _subtract(work, -u, tf, xf)
-    _subtract(work, v, tg, xg)
-    return DiffOp._make(f.ring, {b: _lowest(nv, row, u * af) for b, row in work.items()})
+    work = {e + xf: u * c for e, c in tf.items()}
+    for e, c in tg.items():
+        e += xg
+        c = work.get(e, 0) - v * c
+        if c:
+            work[e] = c
+        else:
+            del work[e]
+    return _unflatten(f.ring, work, u * af, _base)
 
 
 @dataclass
@@ -341,25 +402,26 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     _require_weyl(*gens)
     stats = {"s_pairs": 0, "reductions": 0, "division_steps": 0, "additions": 0}
 
+    ring = gens[0].ring
     basis: list[DiffOp] = []
-    leads: list[WeylExp] = []
-    base = _Divisors(basis, leads, gens[0].ring.nvars)
+    leads: list[int] = []
+    base = _Divisors(basis, leads, ring.nvars)
     divides, w_lcm = base.divides, base.lcm
-    wkey = _packed_key(worder, gens[0].ring.nvars)
+    wkey = _full_key(worder, ring.nvars)
     # live: the elements whose lead no later lead divides, the only
     # divisors and the only partners of a new element.  queue: a heap
-    # of the open pairs as (worder.key(lcm), i, j, lcm), i < j.
+    # of the open pairs as (sort key of lcm, i, j, lcm), i < j; the key
+    # is the lcm itself under deglex/deglex.
     live: list[int] = []
     queue: list = []
 
-    def append(g: DiffOp) -> None:
-        # integer-primitive keeps the rationals small through the long
-        # division chains; the output pass renormalizes anyway
-        g = _primitive_weyl(g, worder)
-        h, lh = len(basis), _lead_full(g, worder)[0]
+    def append(g: DiffOp, lh: int) -> None:
+        # g is integer-primitive with lead lh: that keeps the rationals
+        # small through the long division chains
+        h = len(basis)
         basis.append(g)
         leads.append(lh)
-        if not lh.x and not any(lh.d):
+        if not lh:
             # a constant (0 is the least exponent): the whole ring, so
             # every pair reduces to zero and no other element stays live
             queue.clear()
@@ -372,14 +434,16 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
             # M and F: one new pair per divisibility-minimal lcm
             lcms = [w_lcm(leads[i], lh) for i in live]
             for t in minimal_indices(lcms, wkey, divides):
-                queue.append((wkey(lcms[t]), live[t], h, lcms[t]))
+                l = lcms[t]
+                queue.append((l if wkey is None else wkey(l), live[t], h, l))
             heapify(queue)
             live[:] = [i for i in live if not divides(lh, leads[i])]
         live.append(h)
 
     for g in gens:
         if not g.is_zero():
-            append(g)
+            g = _primitive_weyl(g, worder)
+            append(g, _lead_full(g, worder)[0])
     if not basis:
         raise ValueError("all generators are zero")
 
@@ -389,14 +453,14 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
         s = s_operator_weyl(basis[i], basis[j], worder, _base=base, _ids=(i, j))
         if s.is_zero():
             continue
-        _, r = divide_weyl(s, [basis[k] for k in live], worder, _base=base, _ids=live)
+        nums, _ = _divide_weyl(s, worder, base, live)
         stats["reductions"] += 1
-        if r.is_zero():
+        if not nums:
             continue
         if stats["additions"] >= cap:
             raise CompletionCapExceeded(
                 f"basis construction exceeded the cap of {cap} additions")
-        append(r)
+        append(_primitive_rem(ring, nums, base), next(iter(nums)))
         stats["additions"] += 1
     stats["division_steps"] = base.steps  # the tail pass is not counted
 
@@ -405,9 +469,8 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     final = []
     for t in keep:
         others = [u for u in keep if u != t]
-        _, r = divide_weyl(basis[t], [basis[u] for u in others], worder,
-                           _base=base, _ids=others)
-        final.append(_primitive_weyl(r, worder))
+        nums, _ = _divide_weyl(basis[t], worder, base, others)
+        final.append(_primitive_rem(ring, nums, base))
     # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)
 
@@ -437,5 +500,6 @@ def gb_implies_delta_check(gens, worder: WeylOrder) -> bool:
     ring = gens[0].ring
     if ring.order_delta != worder.order_d:
         ring = RingSpec(ring.n, ring.m, ring.names, ring.dnames, worder.order_d)
-        gens = [DiffOp(ring, g.terms) for g in gens]
+        # the packed d-keys do not depend on the order
+        gens = [DiffOp._make(ring, dict(g._terms)) for g in gens]
     return is_delta_groebner(GeneratorSet(gens, ring))

@@ -23,9 +23,16 @@ there.  Standard library only.  The hash covers:
   covers the orders whose keys sort through a memo;
 - the member-pool bases: their frozen queries through ``member`` and
   through ``reduce(tail=True)``, every cofactor, remainder and step count;
+- a seeded sample of the reference-costed complete-pool inputs under the
+  d-orders ``lex()``, ``degrevlex()`` and deglex with the derivations in
+  reverse, which sort packed d-exponents through a memo: each base's
+  operators and ``stats`` (or the cap message) and each input's
+  ``reduce(tail=True)`` trace;
 - the reference-costed weyl-pool inputs under the deglex and the lex
   x-order (deglex d-order, cap 20): each base, its ``stats`` and the
   ``divide_weyl`` quotients and remainder of every input;
+- the same weyl-pool inputs under the lex d-order (deglex x-order, cap
+  20): each base and its ``stats``;
 - the cli-batch invocations: exit code, stdout and stderr, with the
   temporary problem directory replaced by a placeholder.
 
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -47,6 +55,7 @@ import diffgb as dg  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
 
 WEYL_CAP = 20
+ORDER_SAMPLE = 80  # complete-pool inputs completed under each other d-order
 
 
 def _trace(tr) -> list:
@@ -111,6 +120,28 @@ def commutative_section(ref, rings):
                        [[[str(x) for x in q], str(r)] for q, r in divs]]
 
 
+def d_order_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.FIXED + corpus.complete_pool()}
+    ids = sorted(i for i, (_, cost) in ref["complete"].items() if cost is not None)
+    sample = sorted(random.Random(24).sample(ids, min(ORDER_SAMPLE, len(ids))))
+    caps = 0
+    for i in sample:
+        prob = pool[i]
+        n, m = prob["n"], prob["m"]
+        for order in (dg.lex(), dg.degrevlex(), dg.deglex(tuple(range(n - 1, -1, -1)))):
+            ring = dg.RingSpec(n, m, order_delta=order)
+            gens = [rings.op(ring, g) for g in prob["gens"]]
+            try:
+                b = dg.complete(gens, cap=prob["cap"])
+            except dg.CompletionCapExceeded as e:
+                caps += 1
+                yield [i, str(order), "cap", str(e)]
+                continue
+            yield [i, str(order), [str(p) for p in b.ops], b.stats,
+                   [_trace(dg.reduce(g, b.genset, tail=True)) for g in gens]]
+    print(f"d-orders: {caps} cap hits", file=sys.stderr)
+
+
 def member_section(ref, rings):
     pool = {p["id"]: p for p in corpus.complete_pool()}
     for i in sorted(ref["member"]):
@@ -154,6 +185,23 @@ def weyl_section(ref, rings):
     print(f"weyl: {caps} cap hits", file=sys.stderr)
 
 
+def weyl_lex_d_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.weyl_pool()}
+    worder = dg.WeylOrder(dg.MonomialOrder("deglex"), dg.MonomialOrder("lex"))
+    for i, (_, cost) in sorted(ref["weyl"].items()):
+        if cost is None:
+            continue
+        prob = pool[i]
+        ring = rings.get(prob["n"], prob["m"], "lex")
+        gens = [rings.op(ring, g) for g in prob["gens"]]
+        try:
+            w = dg.buchberger_weyl(gens, worder, cap=WEYL_CAP)
+        except dg.CompletionCapExceeded as e:
+            yield [i, "cap", str(e)]
+            continue
+        yield [i, [str(g) for g in w.ops], w.stats]
+
+
 def cli_section(ref, rings):
     with tempfile.TemporaryDirectory() as tmp:
         batch = workloads.CliBatch(ref, Path(tmp))
@@ -169,7 +217,8 @@ def main() -> int:
     total = hashlib.sha256()
     for name, section in (("complete", complete_section),
                           ("commutative", commutative_section), ("member", member_section),
-                          ("weyl", weyl_section), ("cli", cli_section)):
+                          ("weyl", weyl_section), ("cli", cli_section),
+                          ("d-orders", d_order_section), ("weyl-lex-d", weyl_lex_d_section)):
         h = hashlib.sha256()
         count = 0
         for item in section(ref, workloads.Rings()):

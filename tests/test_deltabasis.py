@@ -77,6 +77,23 @@ def test_cone_ideal_single_generator():
     assert ideal_eq(cone_ideal((1, 0), f), [p1.c_delta()], r.x_order())
 
 
+def test_query_exponents_past_the_degree_limit_keep_their_participants():
+    # a queried exponent is not an operator's: the memos key packed
+    # exponents, yet entries at or past 2^31, and negative ones, get the
+    # componentwise answer; a cone row there would need an operator past
+    # the limit, and no S-operator target lies there
+    _, p1, p2 = cone_example_ops()  # exponents (2, 0) and (0, 2)
+    f = GeneratorSet([p1, p2])
+    big = 2 ** 31
+    assert f.participants((big, 0)) == f.participants((big, 1)) == (0,)
+    assert f.participants((3 * big, 10 ** 30)) == (0, 1)
+    assert f.participants((-1, 5)) == () and cone_coefficients((5, -1), f) == []
+    with pytest.raises(ValueError, match="is not an lcm target"):
+        s_delta_operators(f, (big, 0))
+    with pytest.raises(ValueError, match="limit"):
+        f.cone_row((big, 2), 0)
+
+
 # -- reducedness ---------------------------------------------------------------
 
 
@@ -216,7 +233,8 @@ def test_reduce_after_an_append_matches_a_fresh_generator_set():
         queries = [rand_op(rng, r, max_order=3, max_terms=4) for _ in range(3)]
         for p in queries:
             reduce(p, gs)
-        alpha = rng.choice(sorted(gs._idxs))
+        # the memos are keyed by packed exponents
+        alpha = rng.choice(sorted(map(gs._lay.unpack, gs._idxs)))
         shift = tuple(rng.randint(0, a) for a in alpha)
         extra = rand_op(rng, r, max_order=0, max_terms=2, max_deg=1)
         gs._append(DiffOp.term(r, shift, 1) + extra)
@@ -633,7 +651,8 @@ def test_complete_returns_empty_memos_that_member_fills():
     ok, tr = member(r.d(1) * p1 + p2, b)
     assert ok and tr.steps >= 1
     assert gs._idxs and gs._rows and gs._sops == {}
-    assert all(h is None or h.exp_delta() == alpha
+    # keyed by the packed exponent, which is each built row's packed lead
+    assert all(h is None or h._exp() == alpha
                for alpha, hs in gs._rows.items() for h in hs)
 
 

@@ -1,16 +1,19 @@
 """Operators: normal form, Leibniz product, delta invariants."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from diffgb import DiffOp, MonomialOrder, Poly, RingSpec
+from diffgb import DiffOp, MonomialOrder, Poly, RingSpec, reduce
 from helpers import (
     assert_canonical_op,
     cone_example_ops,
     example6_ops,
     integer_primitive,
+    naive_reduce,
     parse_op,
     rand_op,
     ring1,
@@ -280,3 +283,98 @@ def test_d_exponents_that_are_not_ints_are_refused(bad):
         DiffOp(RingSpec(1), {(bad,): 1})
     with pytest.raises(ValueError, match="bad d-exponent"):
         DiffOp.term(RingSpec(2), (0, bad), Poly.one(2))
+
+
+# -- packed d-exponents -------------------------------------------------------
+
+LIMIT = 2 ** 31  # total d-degrees stay below it
+
+
+def packed_ring(k, m=0):
+    """A ring of 1-3 derivations under a d-order whose packed keys sort
+    through a memo: lex, degrevlex, or deglex with the variables reversed."""
+    n = 1 + k % 3
+    order = (MonomialOrder("lex"), MonomialOrder("degrevlex"),
+             MonomialOrder("deglex", tuple(range(n - 1, -1, -1))))[k // 3 % 3]
+    return RingSpec(n, m, order_delta=order)
+
+
+def test_packed_arithmetic_and_reduce_match_the_tuple_oracles_fuzz():
+    # +, -, * and reduce on packed d-keys against oracles that read only
+    # the tuple view: the validating constructor sums repeated tuples,
+    # slow_mul moves one derivation at a time, naive_reduce subtracts
+    # one such product per cofactor
+    rng = random.Random(90)
+    for k in range(72):
+        r = packed_ring(k, m=k // 9 % 2)
+        order = r.order_delta
+        p, q = (rand_op(rng, r, max_order=2, max_terms=3, max_deg=1, zero_ok=True)
+                for _ in range(2))
+        assert p + q == DiffOp(r, [*p.terms.items(), *q.terms.items()])
+        assert p - q == DiffOp(r, [*p.terms.items(), *((e, -c) for e, c in q.terms.items())])
+        prod = p * q
+        assert prod == slow_mul(p, q)
+        for op in (p + q, p - q, prod):
+            assert_canonical_op(op)
+            if op:
+                assert op.exp_delta() == order.max(op.terms)
+                assert op.c_delta() == op.terms[op.exp_delta()]
+                assert op.support() == set(op.terms)
+                assert op.order_total() == max(map(sum, op.terms))
+        gens = [rand_op(rng, r, max_order=2, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        for tail in (False, True):
+            tr = reduce(prod, gens, tail=tail)
+            assert (list(tr.cofactors), tr.remainder, tr.steps) == naive_reduce(
+                prod, gens, tail=tail)
+
+
+def test_terms_view_rejects_item_assignment():
+    r, p1, _ = example6_ops()
+    with pytest.raises(TypeError):
+        p1.terms[(2, 0)] = r.x(0)
+    with pytest.raises(TypeError):
+        del p1.terms[(1, 0)]
+    assert p1.terms == {(1, 0): r.x(0), (0, 1): r.x(0), (0, 0): r.x(0)}
+
+
+def test_operators_pickle_and_copy_after_their_views_are_read():
+    # the tuple views are mappingproxies, which do not pickle; a copy
+    # rebuilds them on demand
+    r, p1, p2 = example6_ops(ring2("lex"))
+    op = p1 * p2
+    str(op), op.terms, [c.terms for c in op.terms.values()]
+    for other in (pickle.loads(pickle.dumps(op)), copy.copy(op), copy.deepcopy(op)):
+        assert other == op and hash(other) == hash(op)
+        assert other.terms == op.terms and other.exp_delta() == op.exp_delta()
+        assert_canonical_op(other)
+
+
+def test_a_total_d_degree_just_below_the_limit_round_trips():
+    r = ring2()
+    for e in ((LIMIT - 1, 0), (0, LIMIT - 1), (LIMIT // 2, LIMIT // 2 - 1)):
+        op = DiffOp(r, {e: r.x(0)})
+        assert op.exp_delta() == e and op.terms == {e: r.x(0)}
+        assert op.order_total() == LIMIT - 1
+        assert_canonical_op(op)
+    # a product that lands just below the limit
+    op = DiffOp.term(r, (LIMIT - 2, 0), 1) * r.d(1)
+    assert op.exp_delta() == (LIMIT - 2, 1)
+
+
+@pytest.mark.parametrize("e", [(LIMIT, 0), (0, LIMIT), (LIMIT - 1, 1), (LIMIT // 2, LIMIT // 2)])
+def test_a_total_d_degree_at_the_limit_is_refused(e):
+    with pytest.raises(ValueError, match="limit"):
+        DiffOp(ring2(), {e: 1})
+
+
+@pytest.mark.parametrize("a, b", [((LIMIT - 1, 0), (0, 1)), ((LIMIT // 2, 0), (LIMIT // 2, 0)),
+                                  ((1, LIMIT - 2), (0, 1))])
+def test_a_product_reaching_the_d_degree_limit_is_refused(a, b):
+    r = ring2()
+    x1 = r.embed(r.x(0))
+    with pytest.raises(ValueError, match="limit"):
+        DiffOp.term(r, a, 1) * DiffOp.term(r, b, 1)
+    # also when the Leibniz rule has lower terms to add
+    with pytest.raises(ValueError, match="limit"):
+        DiffOp.term(r, a, 1) * (x1 * DiffOp.term(r, b, 1))

@@ -89,14 +89,16 @@ def test_reduce_descent_check_survives_optimize():
 # larger x1^2*d1, and only the strict-descent check stops the loop
 WRONG_HEAD_DIVISION = """
 import sys
-from diffgb import RingSpec, WeylExp, WeylOrder, divide_weyl
+from diffgb import RingSpec, WeylOrder, divide_weyl
 from diffgb.poly import _layout
 from diffgb.weylbasis import _Divisors
 
 ring = RingSpec(1)
 x, d = ring.embed(ring.x(0)), ring.d(0)
 g = x * d + x * x * d
-base = _Divisors([g], [WeylExp(_layout(1).pack((1,)), (1,))], 1)
+# the full key d << S | x of x1*d1
+k = _layout(1).pack((1,))
+base = _Divisors([g], [k << _Divisors([], [], 1).shift | k], 1)
 try:
     divide_weyl(x * d, [g], WeylOrder(), _base=base)
 except AssertionError as e:

@@ -13,20 +13,16 @@ from diffgb.orders import (
     GT,
     LT,
     MonomialOrder,
-    add_exp,
     critical_pairs,
     deglex,
     degrevlex,
     divides,
-    lcm_exp,
     lex,
     minimal_indices,
-    sub_exp,
-    total_degree,
 )
 from diffgb.poly import _layout
-from diffgb.weylbasis import WeylExp, WeylOrder, _Divisors, _packed_key
-from helpers import min_scan_pairs
+from diffgb.weylbasis import WeylOrder, _Divisors, _full_key
+from helpers import add_exp, lcm_exp, min_scan_pairs, sub_exp, total_degree
 
 ALL_ORDERS = [lex(), deglex(), degrevlex()]
 
@@ -234,10 +230,11 @@ def test_critical_pairs_matches_min_scan_reference_with_appends():
                    for kx in ("deglex", "lex") for kd in ("deglex", "degrevlex")]
     for trial in range(200):
         if trial % 2:
-            # the Weyl loop's leads: x-parts packed
-            lcm, key = _Divisors([], [], 2).lcm, _packed_key(rng.choice(weyl_orders), 2)
-            fresh = lambda: WeylExp(_layout(2).pack([rng.randint(0, 2) for _ in range(2)]),
-                                    tuple(rng.randint(0, 2) for _ in range(2)))
+            # the Weyl loop's leads: full keys d << S | x
+            base = _Divisors([], [], 2)
+            lcm, key = base.lcm, _full_key(rng.choice(weyl_orders), 2)
+            fresh = lambda: (_layout(2).pack([rng.randint(0, 2) for _ in range(2)]) << base.shift
+                             | _layout(2).pack([rng.randint(0, 2) for _ in range(2)]))
         else:
             k = rng.randint(1, 3)
             lcm, key = lcm_exp, rng.choice(ALL_ORDERS).key

@@ -223,6 +223,22 @@ def test_product_size_limit():
     assert pf.operators["Q"].c_delta().degree() == 40
 
 
+@pytest.mark.parametrize("var", ["x1", "d1"])
+def test_a_product_reaching_the_degree_limit_is_a_parse_error_at_the_star(var):
+    # 21 squarings of var^1000 stay below 2^31; the 22nd reaches it, a
+    # monomial product that neither size bound refuses
+    lines = ["ring x1", "dvars d1", f"A0 = {var}^1000"]
+    lines += [f"A{k} = A{k - 1}*A{k - 1}" for k in range(1, 22)]
+    pf = parse_problem("\n".join(lines) + "\n")
+    assert str(pf.operators["A21"]) == (
+        f"({var}^{1000 * 2 ** 21})" if var == "x1" else f"(1)*{var}^{1000 * 2 ** 21}")
+    lines.append("A22 = A21*A21")
+    with pytest.raises(ParseError) as err:
+        parse_problem("\n".join(lines) + "\n")
+    assert (err.value.line, err.value.col) == (len(lines), 10)
+    assert err.value.message == "a total degree in 1 variables reaches the limit 2147483648"
+
+
 def test_size_limits_refuse_no_known_text():
     # the README examples, both benchmark pools with the fixed examples,
     # and the files the cli-batch workload writes

@@ -7,11 +7,11 @@ import pytest
 
 from diffgb import (DiffOp, MonomialOrder, Poly, RingSpec, WeylOrder, divide, divide_weyl,
                     s_operator_weyl)
-from diffgb.orders import degrevlex, deglex, lex, lcm_exp
+from diffgb.orders import degrevlex, deglex, lex
 from diffgb.poly import _layout, primitive_scale
 from diffgb.weylbasis import _lead_full
-from helpers import (assert_canonical_poly, integer_primitive, permuted_orders, rand_op,
-                     rand_point, rand_poly, rand_qpoly, ring2)
+from helpers import (assert_canonical_poly, integer_primitive, lcm_exp, permuted_orders,
+                     rand_op, rand_point, rand_poly, rand_qpoly, ring2)
 
 LIMIT = 2 ** 31  # total degrees stay below it
 

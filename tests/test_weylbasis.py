@@ -26,8 +26,11 @@ from diffgb import (
 )
 from diffgb import weylbasis
 from diffgb.deltabasis import CompletionCapExceeded
+from diffgb.orders import divides
+from diffgb.poly import _layout
 from diffgb.weylbasis import _Divisors, _lead_full, _primitive_weyl
 from helpers import (
+    add_exp,
     assert_canonical_op,
     example6_ops,
     integer_primitive,
@@ -35,6 +38,7 @@ from helpers import (
     naive_division_weyl,
     parse_op,
     rand_op,
+    lcm_exp,
     rand_poly,
     ring1,
     ring2,
@@ -442,16 +446,15 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
     # monomial to the remainder, so the pair loop's divisions, redone
     # through the public path, account for every counted step; the
     # tail reductions after the loop (the last len(ops) divisions) are
-    # not counted
-    real = weylbasis.divide_weyl
+    # not counted.  The loop divides through the kernel _divide_weyl.
+    real = weylbasis._divide_weyl
     calls = []
 
-    def spy(p, gens, worder, **kw):
-        if "_base" in kw:
-            calls.append((p, list(gens), worder))
-        return real(p, gens, worder, **kw)
+    def spy(p, worder, base, ids, cofd=None):
+        calls.append((p, [base.ops[k] for k in ids], worder))
+        return real(p, worder, base, ids, cofd)
 
-    monkeypatch.setattr(weylbasis, "divide_weyl", spy)
+    monkeypatch.setattr(weylbasis, "_divide_weyl", spy)
     rng = random.Random(74)
     steps = 0
     for _ in range(30):
@@ -462,23 +465,23 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
         calls.clear()
         result = buchberger_weyl(gens, w)
         stats = result.stats
-        del calls[len(calls) - len(result.ops):]
+        pair_loop = calls[:len(calls) - len(result.ops)]
         want = 0
-        for p, ops, worder in calls:
-            qs, rem = real(p, ops, worder)
+        for p, ops, worder in pair_loop:
+            qs, rem = divide_weyl(p, ops, worder)
             want += sum(map(monomials, qs)) + monomials(rem)
         assert stats["division_steps"] == want
-        assert stats["reductions"] == len(calls)
+        assert stats["reductions"] == len(pair_loop)
         steps += want
     assert steps > 100
 
 
 def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
     # read from outside the loop: every popped pair forms one
-    # S-operator, every nonzero one is divided once, the tail pass
-    # divides each output element once, and every addition grows the
-    # base that the memo holds
-    real_s, real_div = weylbasis.s_operator_weyl, weylbasis.divide_weyl
+    # S-operator, every nonzero one is divided once (by the kernel
+    # _divide_weyl), the tail pass divides each output element once,
+    # and every addition grows the base that the memo holds
+    real_s, real_div = weylbasis.s_operator_weyl, weylbasis._divide_weyl
     bases, s_calls, divisions = [], [], []
 
     class Spy(_Divisors):
@@ -498,7 +501,7 @@ def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
 
     monkeypatch.setattr(weylbasis, "_Divisors", Spy)
     monkeypatch.setattr(weylbasis, "s_operator_weyl", s_spy)
-    monkeypatch.setattr(weylbasis, "divide_weyl", div_spy)
+    monkeypatch.setattr(weylbasis, "_divide_weyl", div_spy)
     rng = random.Random(75)
     added = 0
     for _ in range(30):
@@ -548,3 +551,69 @@ def test_s_operator_names_the_zero_operator():
     for f, g in ((zero, d1), (d1, zero), (zero, zero)):
         with pytest.raises(ValueError, match="zero operator"):
             s_operator_weyl(f, g, WeylOrder())
+
+
+# -- full keys d << S | x ----------------------------------------------------
+
+LIMIT = 2 ** 31  # total degrees stay below it, in x and in d
+
+
+def full_key(n, x, d):
+    lay = _layout(n)
+    return lay.pack(d) << _Divisors([], [], n).shift | lay.pack(x)
+
+
+def test_full_key_divides_lcm_and_order_match_the_tuple_definitions_fuzz():
+    # the one guard test and the half-by-half lcm against componentwise
+    # definitions, including x-halves that do not divide, also with a
+    # larger x-degree (its degree field then borrows from the d-half),
+    # and entries and lcm degrees near the limit
+    rng = random.Random(91)
+    seen = set()
+    for k in range(800):
+        n = 1 + k % 3
+        base = _Divisors([], [], n)
+
+        def exp(top):
+            if rng.random() < 0.2:  # near the limit: split a total below it
+                cuts = sorted(rng.randint(0, LIMIT - 1) for _ in range(n - 1))
+                return tuple(b - a for a, b in zip([0, *cuts], [*cuts, LIMIT - 1]))
+            return tuple(rng.randint(0, top) for _ in range(n))
+
+        ax, ad, bx, bd = exp(3), exp(3), exp(3), exp(3)
+        kind = k // 3 % 4
+        if kind & 1 and sum(ad) + 6 < LIMIT:  # the d-half divides
+            bd = add_exp(ad, tuple(rng.randint(0, 2) for _ in range(n)))
+        if kind & 2 and sum(ax) + 6 < LIMIT:  # the x-half divides
+            bx = add_exp(ax, tuple(rng.randint(0, 2) for _ in range(n)))
+        a, b = full_key(n, ax, ad), full_key(n, bx, bd)
+        dx, dd = divides(ax, bx), divides(ad, bd)
+        assert base.divides(a, b) == (dx and dd)
+        seen.add((dx, dd, sum(ax) > sum(bx)))
+        assert base.lcm(a, b) == full_key(n, lcm_exp(ax, bx), lcm_exp(ad, bd))
+        # under deglex/deglex the keys are their own sort key
+        assert (a < b) == (W.key(WeylExp(ax, ad)) < W.key(WeylExp(bx, bd)))
+    assert seen == {(True, True, False), (True, False, False),
+                    (False, True, False), (False, True, True),
+                    (False, False, False), (False, False, True)}
+
+
+def test_divide_weyl_matches_the_recording_oracle_under_memo_orders_fuzz():
+    # full keys that sort through the memo of (d-key, x-key): lex,
+    # degrevlex and reversed deglex d-orders, deglex and lex x-orders,
+    # with one to three derivations
+    rng = random.Random(92)
+    for k in range(54):
+        n = 1 + k % 3
+        order_d = (MonomialOrder("lex"), MonomialOrder("degrevlex"),
+                   MonomialOrder("deglex", tuple(range(n - 1, -1, -1))))[k // 3 % 3]
+        w = WeylOrder(MonomialOrder("lex" if k // 9 % 2 else "deglex"), order_d)
+        r = RingSpec(n, order_delta=order_d)
+        gens = [rand_qop(rng, r, max_order=2, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        p = rand_qop(rng, r, max_order=3, max_terms=4)
+        qs, rem = divide_weyl(p, gens, w)
+        assert (qs, rem) == naive_division_weyl(p, gens, w)
+        for q in qs + [rem]:
+            assert_canonical_op(q)
+        assert s_operator_weyl(gens[0], gens[-1], w) == textbook_s_operator(gens[0], gens[-1], w)
