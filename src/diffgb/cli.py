@@ -11,6 +11,7 @@ completion cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -320,13 +321,25 @@ _HELP = {
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The argument parser; if argv names a subcommand first, only that
-    subparser is built, and usage lines still list every name."""
+    subparser is built, and usage lines still list every name.
+
+    Each parser is built once per process and shared by every later call
+    for the same subcommand, so callers must not modify it.  Parsing
+    leaves it unchanged: each parse fills a new namespace, and help and
+    usage errors read the terminal width and ``sys.stderr`` when they
+    print."""
+    return _build_parser(argv[0] if argv and argv[0] in _HELP else None)
+
+
+@functools.cache
+def _build_parser(name: str | None) -> argparse.ArgumentParser:
+    """The parser with only the subparser name, or with all of them."""
     parser = argparse.ArgumentParser(
         prog="diffgb",
         description="bases for left ideals of linear differential operators",
     )
-    if argv and argv[0] in _HELP:
-        names = argv[:1]
+    if name is not None:
+        names = [name]
         # the metavar only on this path: argparse also names the argument
         # by it in the missing and invalid command errors of the full one
         sub = parser.add_subparsers(dest="command", required=True,

@@ -171,9 +171,11 @@ def cone_ideal(alpha: ExpVec, f) -> PolyIdeal:
 def is_reduced(p: DiffOp, f) -> bool:
     """True when p is zero, its leading exponent escapes every cone, or
     its leading coefficient is outside the cone ideal there."""
+    f = GeneratorSet.wrap(f)
+    if p.ring != f.ring:
+        raise ValueError("operator ring mismatch")
     if p.is_zero():
         return True
-    f = GeneratorSet.wrap(f)
     idxs = f._participants(p._exp())
     if not idxs:
         return True

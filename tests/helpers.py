@@ -10,7 +10,9 @@ product oracle moves one derivation at a time instead of using the
 closed Leibniz formula, the delta-reduction oracle subtracts one such
 product per cofactor instead of reusing cached cone rows, and the
 pair-order reference scans a dict of open pairs for its minimum instead
-of keeping a heap.
+of keeping a heap, and the delta-base certificate checks the library's
+cone data against the slow oracles and rebuilds the syzygies,
+S-operators and reductions from them.
 """
 
 from fractions import Fraction
@@ -505,3 +507,136 @@ def rebuild_complete(ops, cap=10000):
             raise CompletionCapExceeded(f"completion exceeded the cap of {cap} additions")
         ops.append(hit[1].remainder.primitive())
         stats["additions"] += 1
+
+
+# -- an independent delta-base certificate -----------------------------------
+
+class _Rejected(Exception):
+    pass
+
+
+def _oracle_lead(op, order):
+    alpha = order.max(list(op.terms))
+    return alpha, op.terms[alpha]
+
+
+def _library_cone(ops, idxs):
+    ring = ops[0].ring
+    ideal = PolyIdeal([_oracle_lead(ops[i], ring.order_delta)[1] for i in idxs],
+                      ring.x_order())
+    return ideal.groebner, ideal.expression_matrix
+
+
+def _combine_rows(us, A, width, nvars):
+    """sum_j us[j] * A[j] as a row of width entries."""
+    row = [Poly.zero(nvars) for _ in range(width)]
+    for u, arow in zip(us, A):
+        if not u.is_zero():
+            row = [r + u * a for r, a in zip(row, arow)]
+    return row
+
+
+def certify_delta_oracle(ops, inputs, cone=None):
+    """Check that ops is a delta base of an ideal holding every input,
+    with code other than the code that built it.  Returns None, or a
+    message naming the first failure.
+
+    The cone data is untrusted: ``cone(ops, idxs)`` gives the pair (G, A)
+    of the cone ideal of the leading coefficients of ops[idxs] (the
+    library's ``PolyIdeal`` by default).  Each pair must hold G equal to
+    ``naive_reduced_groebner`` of those coefficients and G = A * c by
+    multiplication.  B (the coefficients over G) comes from
+    ``naive_division``.  At every lcm target the syzygies of the
+    coefficients are the Schreyer rows of G carried back through A and
+    the rows of I - B*A; each gives an S-operator, formed with
+    ``slow_mul``, that must reduce to zero.  The reduction cancels each
+    leading coefficient with ``naive_division`` quotients over the
+    cone's G, carried back through A, one ``slow_mul`` per cofactor.
+    Every input must reduce to zero the same way.
+    """
+    cone = _library_cone if cone is None else cone
+    ring = ops[0].ring
+    order, xorder, nv = ring.order_delta, ring.x_order(), ring.nvars
+    leads = [_oracle_lead(p, order) for p in ops]
+    exps = [e for e, _ in leads]
+    checked = {}
+
+    def cone_data(idxs):
+        if idxs not in checked:
+            c = [leads[i][1] for i in idxs]
+            G, A = cone(ops, idxs)
+            G, A = list(G), [list(row) for row in A]
+            where = [exps[i] for i in idxs]
+            if G != naive_reduced_groebner(c, xorder):
+                raise _Rejected(f"the cone of {where} is not its reduced base")
+            if len(A) != len(G) or any(
+                    len(row) != len(c) or sum((a * x for a, x in zip(row, c)),
+                                              Poly.zero(nv)) != g
+                    for row, g in zip(A, G)):
+                raise _Rejected(f"the expression matrix of the cone of {where} is wrong")
+            B = []
+            for x in c:
+                q, r = naive_division(x, G, xorder)
+                if not r.is_zero():
+                    raise _Rejected(f"a coefficient of the cone of {where} leaves G")
+                B.append(q)
+            checked[idxs] = G, A, B
+        return checked[idxs]
+
+    def shifted(alpha, i, q):
+        return slow_mul(DiffOp.term(ring, sub_exp(alpha, exps[i]), q), ops[i])
+
+    def reduces_to_zero(p):
+        prev = None
+        while not p.is_zero():
+            alpha, c = _oracle_lead(p, order)
+            if prev is not None and order.compare(alpha, prev) >= 0:
+                raise _Rejected(f"the reduction climbs at {alpha}")
+            prev = alpha
+            idxs = tuple(i for i, e in enumerate(exps) if divides(e, alpha))
+            if not idxs:
+                return False
+            G, A, _ = cone_data(idxs)
+            us, r = naive_division(c, G, xorder)
+            if not r.is_zero():
+                return False
+            for q, i in zip(_combine_rows(us, A, len(idxs), nv), idxs):
+                if not q.is_zero():
+                    p = p - shifted(alpha, i, q)
+        return True
+
+    try:
+        if any(not g.is_zero() and not reduces_to_zero(g) for g in inputs):
+            return "an input does not reduce to zero"
+        targets = set()
+        for e in exps:
+            targets |= {e} | {tuple(map(max, t, e)) for t in targets}
+        for alpha in sorted(targets, key=order.key):
+            idxs = tuple(i for i, e in enumerate(exps) if divides(e, alpha))
+            G, A, B = cone_data(idxs)
+            rows = []
+            for i in range(len(G)):
+                for j in range(i + 1, len(G)):
+                    ei, ej = G[i].lm(xorder), G[j].lm(xorder)
+                    mi = Poly.monomial(nv, sub_exp(lcm_exp(ei, ej), ei))
+                    mj = Poly.monomial(nv, sub_exp(lcm_exp(ei, ej), ej))
+                    q, r = naive_division(mi * G[i] - mj * G[j], G, xorder)
+                    if not r.is_zero():
+                        raise _Rejected(f"an S-polynomial of the cone at {alpha} leaves G")
+                    u = [-x for x in q]
+                    u[i], u[j] = u[i] + mi, u[j] - mj
+                    rows.append(_combine_rows(u, A, len(idxs), nv))
+            for k in range(len(idxs)):
+                row = _combine_rows([-x for x in B[k]], A, len(idxs), nv)
+                row[k] = row[k] + Poly.constant(nv, 1)
+                rows.append(row)
+            for row in rows:
+                sop = DiffOp.zero(ring)
+                for lam, i in zip(row, idxs):
+                    if not lam.is_zero():
+                        sop = sop + shifted(alpha, i, lam)
+                if not reduces_to_zero(sop):
+                    return f"an S-operator at {alpha} does not reduce to zero"
+    except _Rejected as e:
+        return str(e)
+    return None

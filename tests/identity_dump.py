@@ -34,7 +34,11 @@ there.  Standard library only.  The hash covers:
 - the same weyl-pool inputs under the lex d-order (deglex x-order, cap
   20): each base and its ``stats``;
 - the cli-batch invocations: exit code, stdout and stderr, with the
-  temporary problem directory replaced by a placeholder.
+  temporary problem directory replaced by a placeholder; then, in the
+  same process, so through the parsers those calls built, each
+  subcommand's ``-h``, a missing file argument, a bad ``--cap`` and a
+  bad ``--order``, and no arguments or only ``--json``.  ``COLUMNS`` is
+  set to 80, so help text does not depend on the terminal.
 
 Per-section digests and counts go to stderr, the overall sha256 to stdout.
 """
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import sys
 import tempfile
@@ -52,7 +57,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import diffgb as dg  # noqa: E402
+from diffgb.cli import _HELP  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
+
+# argparse wraps help and usage lines to COLUMNS
+os.environ["COLUMNS"] = "80"
 
 WEYL_CAP = 20
 ORDER_SAMPLE = 80  # complete-pool inputs completed under each other d-order
@@ -207,9 +216,16 @@ def cli_section(ref, rings):
         batch = workloads.CliBatch(ref, Path(tmp))
         tasks = batch.tasks(sorted(ref["cli"]))
         here = str(next(Path(tmp).iterdir()))
-        for t in tasks:
-            code, out, err = t.fn()
-            yield [t.tid, code, out.replace(here, "<dir>"), err.replace(here, "<dir>")]
+        path = str(min(Path(here).iterdir()))
+        usage = [[]] + [["--json"]] + [
+            argv for name in _HELP for argv in (
+                [name, "-h"], [name], [name, path, "--cap", "x"],
+                [name, path, "--order", "bogus"])]
+        for tid, fn in [(t.tid, t.fn) for t in tasks] + [
+                (" ".join(argv), workloads._cli_fn(argv)) for argv in usage]:
+            code, out, err = fn()
+            yield [tid.replace(here, "<dir>"), code, out.replace(here, "<dir>"),
+                   err.replace(here, "<dir>")]
 
 
 def main() -> int:

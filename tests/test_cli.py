@@ -453,6 +453,8 @@ def test_narrowed_parser_agrees_with_the_full_one():
 
 
 def test_a_call_builds_only_the_subparser_it_names(tmp_path, capsys, monkeypatch):
+    # parsers are kept per process: start from none, so the spy sees builds
+    cli._build_parser.cache_clear()
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -465,13 +467,68 @@ def test_a_call_builds_only_the_subparser_it_names(tmp_path, capsys, monkeypatch
     assert rc == 0 and "stair:" in out
     assert built == ["stair"]
     # with no argument list main reads sys.argv, and narrows on it too
+    cli._build_parser.cache_clear()
     built.clear()
     monkeypatch.setattr(sys, "argv", ["diffgb", "stair", write(tmp_path, EX6)])
     assert main() == 0
     capsys.readouterr()
     assert built == ["stair"]
+    # a repeated subcommand reuses its parser; another one builds its own
+    built.clear()
+    assert run(tmp_path, EX6, ["stair", "FILE", "--json"], capsys)[0] == 0
+    assert built == []
+    assert run(tmp_path, EX6, ["cone", "FILE", "--alpha", "1,0"], capsys)[0] == 0
+    assert built == ["cone"]
     # no subcommand first: the full parser, for help and usage errors
     built.clear()
     assert main(["--json"]) == 2
     capsys.readouterr()
     assert built == list(_HELP)
+
+
+# argument lists in an order where state left in a shared parser would
+# show: each option set in one call is left out of the next call to the
+# same subcommand, and errors come between valid calls
+SHARED_PARSER_CALLS = [
+    ["stair", "FILE", "--cap", "8", "--order", "lex", "--json", "--tail-reduce"],
+    ["stair", "FILE"],
+    ["stair", "FILE", "--cap", "x"],
+    ["stair", "FILE", "--order", "bogus"],
+    ["stair", "FILE", "--order", "degrevlex"],
+    ["delta-gb", "EULER", "--cap", "0"],
+    ["delta-gb", "EULER"],
+    ["delta-gb", "EULER", "--json"],
+    ["cone", "FILE", "--alpha", "1,0", "--json"],
+    ["cone", "FILE"],
+    ["cone", "FILE", "--alpha", "(1,1)"],
+    ["reduce", "FILE", "x1*d1*d2 + d2^2", "--tail-reduce"],
+    ["reduce", "FILE", "x1*d1*d2 + d2^2"],
+    ["frobnicate", "FILE"],
+    [],
+    ["-h"],
+    ["--json"],
+    ["stair", "-h"],
+    ["stair", "FILE", "--json"],
+    ["member", "FILE", "d2*P1 - d1*P2", "--json"],
+    ["member", "FILE", "1"],
+    ["member", "FILE"],
+]
+
+
+def test_a_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"FILE": write(tmp_path, EX6), "EULER": write(tmp_path, EULER, "euler.dop")}
+
+    def call(argv):
+        rc = main([files.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    warm = [call(argv) for argv in SHARED_PARSER_CALLS]
+    assert cli._build_parser.cache_info().hits > 0
+    for argv, got in zip(SHARED_PARSER_CALLS, warm):
+        cli._build_parser.cache_clear()
+        assert call(argv) == got, argv
+    codes = {rc for rc, _, _ in warm}
+    assert codes == {0, 1, 2, 3}

@@ -1,8 +1,11 @@
 """Reduction, cone ideals, S-operators, the base criterion, completion."""
 
 import dataclasses
+import importlib.util
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from diffgb import deltabasis, groebner
 from diffgb.diffop import RingSpec
 from diffgb.orders import MonomialOrder
 from helpers import (
+    certify_delta_oracle,
     cone_example_ops,
     example6_ops,
     naive_reduce,
@@ -113,6 +117,22 @@ def test_reduced_inside_cone_with_escaping_coefficient():
     f = GeneratorSet([parse_op(r, "x1*d1")])
     assert not is_reduced(parse_op(r, "x1^2*d1"), f)
     assert is_reduced(parse_op(r, "x2*d1"), f)
+
+
+@pytest.mark.parametrize("other", [RingSpec(2, 1), RingSpec(1), ring2(order="lex")],
+                         ids=["m", "n", "d-order"])
+def test_reduced_rejects_an_operator_of_another_ring(other):
+    # the same text over another ring: is_reduced raises as reduce does,
+    # zero operators included, and answers as before over its own ring
+    f = GeneratorSet([parse_op(ring2(), "x1*d1")])
+    q = parse_op(other, "x1*d1")
+    for p in (q, DiffOp.zero(other)):
+        with pytest.raises(ValueError, match="operator ring mismatch"):
+            is_reduced(p, f)
+        with pytest.raises(ValueError, match="operator ring mismatch"):
+            reduce(p, f)
+    assert not is_reduced(q, GeneratorSet([q]))
+    assert not is_reduced(f[0], f)
 
 
 # -- reduction -----------------------------------------------------------------
@@ -766,3 +786,80 @@ def test_s_operators_after_appends_match_a_fresh_generator_set_fuzz():
     assert checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         got[0].operator = DiffOp.zero(r)
+
+
+# -- an independent certificate ----------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _complete_pool_sample(count, seed):
+    """A seeded sample of the benchmark's complete pool, restricted to
+    the inputs with a reference cost (the others run for minutes), as
+    (inputs, cap) pairs."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["complete"]
+    pool = {p["id"]: p for p in corpus.complete_pool()}
+    ids = sorted(i for i in pool if ref[i][1] is not None)
+    out = []
+    for i in random.Random(seed).sample(ids, count):
+        prob = pool[i]
+        ring = RingSpec(prob["n"], prob["m"], order_delta=MonomialOrder(prob["order"]))
+        gens = [DiffOp(ring, {e: Poly(ring.nvars, c) for e, c in op.items()})
+                for op in prob["gens"]]
+        out.append((gens, prob["cap"]))
+    return out
+
+
+def test_independent_checker_certifies_sampled_pool_bases():
+    # every converged base passes, and drops out when its last addition
+    # is removed: the round before that addition failed the criterion
+    bases = additions = 0
+    for gens, cap in _complete_pool_sample(300, 25):
+        try:
+            b = complete(gens, cap=cap)
+        except CompletionCapExceeded:
+            continue
+        assert certify_delta_oracle(b.ops, gens) is None
+        bases += 1
+        if b.stats["additions"]:
+            additions += 1
+            assert certify_delta_oracle(b.ops[:-1], gens) is not None
+    assert bases > 250 and additions > 20
+
+
+def test_independent_checker_rejects_a_dropped_generator():
+    r = ring2()
+    gens = [parse_op(r, "x1*d1 + d2"), parse_op(r, "x1")]
+    b = complete(gens, cap=8)
+    assert [p.to_str() for p in b.ops[2:]] == ["(1)*d2 + (-1)"]
+    assert certify_delta_oracle(b.ops, gens) is None
+    assert "S-operator at (1, 0)" in certify_delta_oracle(b.ops[:2], gens)
+    # x1 and the addition are a base of the same ideal; x1 alone is not
+    assert certify_delta_oracle(b.ops[1:], gens) is None
+    assert certify_delta_oracle(b.ops[1:2], gens) == "an input does not reduce to zero"
+
+
+def test_independent_checker_rejects_corrupted_cone_data():
+    r, p1, p2 = example6_ops()
+    ops = [p1, p2]
+    assert certify_delta_oracle(ops, ops) is None
+
+    def cone_ideal_data(ops, idxs):
+        ideal = PolyIdeal([ops[i].c_delta() for i in idxs], r.x_order())
+        return list(ideal.groebner), [list(row) for row in ideal.expression_matrix]
+
+    def bad_entry(ops, idxs):
+        G, A = cone_ideal_data(ops, idxs)
+        A[-1][-1] = A[-1][-1] + Poly.monomial(r.nvars, (1, 0))
+        return G, A
+
+    def dropped_element(ops, idxs):
+        G, A = cone_ideal_data(ops, idxs)
+        return G[:-1], A[:-1]
+
+    assert certify_delta_oracle(ops, ops, cone_ideal_data) is None
+    assert "expression matrix" in certify_delta_oracle(ops, ops, bad_entry)
+    assert "reduced base" in certify_delta_oracle(ops, ops, dropped_element)
