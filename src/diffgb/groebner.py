@@ -40,7 +40,8 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     ``_heads`` is the list of ``(g._lm(order), numerator of lc(g))``
     for the divisors, in order, with the leads as packed keys (see
     ``poly``), when the caller already holds it (a Groebner loop or a
-    cached base); the divisors are then taken to be nonzero.
+    cached base); the divisors are then taken to be nonzero and over
+    f's variables, which a call without it checks.
 
     Exponents are packed keys throughout: a head divides a term when
     the guard test passes, the quotient monomial is the difference and
@@ -51,6 +52,8 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     gens = list(gens)
     heads = _heads
     if heads is None:
+        if any(g.nvars != f.nvars for g in gens):
+            raise ValueError("polynomial ring mismatch")
         if any(g.is_zero() for g in gens):
             raise ValueError("division by a zero polynomial")
         heads = _heads_of(gens, order)
@@ -343,6 +346,8 @@ class PolyIdeal:
         """Quotients of f over the reduced base and the remainder:
         f = sum q_j * groebner[j] + r, and r is zero iff f is in the ideal.
         The heads of the base are found on the first call and kept."""
+        if self.generators and f.nvars != self._nvars:
+            raise ValueError("polynomial ring mismatch")
         G = self.groebner
         if self._heads is None:
             self._heads = _heads_of(G, self.order)

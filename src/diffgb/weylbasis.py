@@ -45,9 +45,14 @@ and "a divides b" is one guard test, ``((b | G) - a) & G == G`` with
 ``G = guard << S | guard``: the only borrow that crosses a field is the
 x-half's degree field borrowing from the d-half, which happens only
 when a's x-degree exceeds b's, and then a guard bit of the x-half is
-already clear.  A division works on one flat dict, full key -> integer
-numerator, and the pair loop and the final pass make each new element
-integer-primitive straight from its remainder's numerators.
+already clear.  The pair loop and ``is_gb`` stay in a flat form, full
+key -> integer numerator over one denominator: the S kernel ``_s_pair``
+builds it, ``_divide_weyl`` consumes it and returns the remainder's,
+and only an appended element becomes a ``DiffOp`` again, integer-
+primitive straight from those numerators.  ``_flat`` brings a ``DiffOp``
+in (the dividend of ``divide_weyl``, a tail-pass element, a memo
+product); the public ``divide_weyl`` and ``s_operator_weyl`` wrap the
+kernels, each with its own ``_Divisors``.
 ``WeylExp`` and ``exp_full`` are the tuple views of the public API.
 """
 
@@ -96,6 +101,8 @@ class WeylOrder:
 def _require_weyl(*ops: DiffOp) -> None:
     if any(p.ring.m for p in ops):
         raise ValueError("classical bases need a pure operator ring (m = 0)")
+    if any(p.ring != ops[0].ring for p in ops):
+        raise ValueError("operator ring mismatch")
 
 
 @cache
@@ -138,9 +145,18 @@ def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[int, Fraction]:
     return beta << _W * (n + 1) | e, Fraction(coeff._nums[e], coeff._den)
 
 
+def _flat(p: DiffOp, s: int) -> tuple[dict, int]:
+    """p as flat numerators over their denominator: (full key -> integer
+    numerator, den), with ``s`` the shift S of p's full keys."""
+    den = lcm(*(pl._den for pl in p._terms.values()))
+    return {b << s | x: c * (den // pl._den)
+            for b, pl in p._terms.items() for x, c in pl._nums.items()}, den
+
+
 class _Divisors:
-    """Divisors and leading exponents of one computation, the steps its
-    divisions took, and a memo of d-shifted products: (k, b) -> d^b * ops[k].
+    """Divisors and leading exponents of one computation over ``nvars``
+    variables, the steps its divisions took, and a memo of d-shifted
+    products: (k, b) -> d^b * ops[k].
 
     ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
     base, which only grows), and k indexes them; a division by a
@@ -156,11 +172,12 @@ class _Divisors:
     before it is applied.
     """
 
-    __slots__ = ("ops", "leads", "lay", "shift", "mask", "guard", "done", "steps")
+    __slots__ = ("ops", "leads", "nvars", "lay", "shift", "mask", "guard", "done", "steps")
 
     def __init__(self, ops, leads, nvars: int):
         self.ops = ops
         self.leads = leads
+        self.nvars = nvars
         lay = self.lay = _layout(nvars)
         self.shift = s = _W * (nvars + 1)
         self.mask = (1 << s) - 1
@@ -174,14 +191,9 @@ class _Divisors:
             g = self.ops[k]
             if b:
                 g = DiffOp._make(g.ring, {b: Poly.one(g.ring.nvars)}) * g
-            den = lcm(*(pl._den for pl in g._terms.values()))
-            s, terms, top = self.shift, {}, 0
-            for e, pl in g._terms.items():
-                m, e = den // pl._den, e << s
-                for x, c in pl._nums.items():
-                    terms[e | x] = c * m
-                top = max(top, max(pl._nums))
-            entry = den, terms[(b << s) + self.leads[k]], terms, top
+            terms, den = _flat(g, self.shift)
+            top = max(max(pl._nums) for pl in g._terms.values())
+            entry = den, terms[(b << self.shift) + self.leads[k]], terms, top
             self.done[(k, b)] = entry
         return entry
 
@@ -202,27 +214,23 @@ class _Divisors:
         return lcm(a >> s, b >> s) << s | lcm(a & mask, b & mask)
 
 
-def _divide_weyl(p: DiffOp, worder: WeylOrder, base: _Divisors, ids, cofd=None):
+def _divide_weyl(work: dict, den: int, worder: WeylOrder, base: _Divisors, ids,
+                 cofd=None):
     """The fraction-free division kernel of ``divide_weyl`` by the
     elements of ``base`` at the indices ``ids``.
 
-    Returns (nums, den): the remainder is sum nums[e] / den * e over
-    full keys e, nonzero numerators only, in the order the steps met
-    them, so descending and led by the remainder's lead.  With
+    The dividend is sum work[e] / den * e over full keys e, nonzero
+    numerators only; the kernel consumes ``work``, dropping zeros
+    eagerly so max() only sees live monomials.  Returns (nums, den):
+    the remainder sum nums[e] / den * e, nonzero numerators only, in the
+    order the steps met them, so descending and led by its lead.  With
     ``cofd`` (a dict per divisor) each quotient term is recorded there
     as d-key -> (gc, x-key -> (numerator, den at the step)).
     """
     shifted, leads, s, mask = base.shifted, base.leads, base.shift, base.mask
     guard, limit = base.guard, base.lay.top
     divisors = [(leads[k], k) for k in ids]
-    wkey = _full_key(worder, p.ring.nvars)
-
-    # working copy: full key -> integer numerator over the running
-    # denominator den, zero entries dropped eagerly so max() only sees
-    # live monomials
-    den = lcm(*(pl._den for pl in p._terms.values()))
-    work = {b << s | x: c * (den // pl._den)
-            for b, pl in p._terms.items() for x, c in pl._nums.items()}
+    wkey = _full_key(worder, base.nvars)
     rem = {}  # full key -> (numerator, den when it left work)
 
     prev = None
@@ -245,7 +253,7 @@ def _divide_weyl(p: DiffOp, worder: WeylOrder, base: _Divisors, ids, cofd=None):
                 ds, xs = shift >> s, shift & mask
                 pd, gc, terms, top = shifted(k, ds)
                 if xs + top >= limit:
-                    raise _degree_error(p.ring.nvars)
+                    raise _degree_error(base.nvars)
                 if cofd is not None:
                     # the quotient term is c * pd / (den * gc); every term
                     # of one d-shift reads the same memo entry, so one gc
@@ -292,34 +300,22 @@ def _primitive_rem(ring: RingSpec, nums: dict, base: _Divisors) -> DiffOp:
     return _unflatten(ring, {e: c // g for e, c in nums.items()}, 1, base)
 
 
-def divide_weyl(p: DiffOp, gens, worder: WeylOrder,
-                _base: _Divisors | None = None, _ids=None):
+def divide_weyl(p: DiffOp, gens, worder: WeylOrder):
     """Full division in the Weyl algebra.
 
     Returns (cofactors, remainder) with p = sum q_i*gens_i + r, no
     monomial of r divisible by any leading exponent of gens, and
     exp_full of every q_i*gens_i bounded by exp_full(p).
-
-    ``_base`` is a caller's ``_Divisors`` holding ``gens``, at the
-    indices ``_ids`` (their positions when not given).  Its callers
-    discard the quotients, so none are built and the cofactors come
-    back as None.
     """
     gens = list(gens)
-    _require_weyl(p)
+    _require_weyl(p, *gens)
     if any(g.is_zero() for g in gens):
         raise ValueError("division by a zero operator")
-    quotients = _base is None
     nv = p.ring.nvars
-    if quotients:
-        _require_weyl(*gens)
-        _base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], nv)
-    cofd = [{} for _ in gens] if quotients else None
-    nums, den = _divide_weyl(p, worder, _base, range(len(gens)) if _ids is None else _ids,
-                             cofd)
-    rem = _unflatten(p.ring, nums, den, _base)
-    if not quotients:
-        return None, rem
+    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], nv)
+    cofd = [{} for _ in gens]
+    nums, den = _divide_weyl(*_flat(p, base.shift), worder, base, range(len(gens)), cofd)
+    rem = _unflatten(p.ring, nums, den, base)
     # strict descent writes each (d, x) slot once, with a nonzero entry;
     # den only gains factors, so each term's den divides the last one's
     cof = []
@@ -340,28 +336,19 @@ def _primitive_weyl(p: DiffOp, worder: WeylOrder) -> DiffOp:
     return DiffOp._make(p.ring, {e: pl._scaled(c) for e, pl in p._terms.items()})
 
 
-def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
-                    _base: _Divisors | None = None, _ids=(0, 1)) -> DiffOp:
-    """S-operator cancelling the two leading monomials.
-
-    ``_base`` is a caller's ``_Divisors`` holding f and g at ``_ids``."""
-    if _base is None:
-        _require_weyl(f, g)
-        if f.is_zero() or g.is_zero():
-            raise ValueError("the zero operator has no leading exponent, so no S-operator")
-        _base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]],
-                          f.ring.nvars)
-    i, j = _ids
-    wf, wg = _base.leads[i], _base.leads[j]
-    l = _base.lcm(wf, wg)
+def _s_pair(base: _Divisors, i: int, j: int) -> tuple[dict, int]:
+    """The S-operator of ``base``'s elements i and j as flat numerators
+    over their denominator, not in lowest terms."""
+    wf, wg = base.leads[i], base.leads[j]
+    l = base.lcm(wf, wg)
     # mf * f = Af / af with Af the memo's integer form of x^a d^b * f
     # and af its lead, so S = Af / af - Ag / ag = (u*Af - v*Ag) / (u*af)
-    sf, sg, s, mask = l - wf, l - wg, _base.shift, _base.mask
-    _, af, tf, topf = _base.shifted(i, sf >> s)
-    _, ag, tg, topg = _base.shifted(j, sg >> s)
+    sf, sg, s, mask = l - wf, l - wg, base.shift, base.mask
+    _, af, tf, topf = base.shifted(i, sf >> s)
+    _, ag, tg, topg = base.shifted(j, sg >> s)
     xf, xg = sf & mask, sg & mask
-    if max(xf + topf, xg + topg) >= _base.lay.top:
-        raise _degree_error(f.ring.nvars)
+    if max(xf + topf, xg + topg) >= base.lay.top:
+        raise _degree_error(base.nvars)
     h = gcd(af, ag)
     u, v = ag // h, af // h
     if u * af < 0:
@@ -374,7 +361,17 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder,
             work[e] = c
         else:
             del work[e]
-    return _unflatten(f.ring, work, u * af, _base)
+    return work, u * af
+
+
+def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
+    """S-operator cancelling the two leading monomials."""
+    _require_weyl(f, g)
+    if f.is_zero() or g.is_zero():
+        raise ValueError("the zero operator has no leading exponent, so no S-operator")
+    base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]],
+                     f.ring.nvars)
+    return _unflatten(f.ring, *_s_pair(base, 0, 1), base)
 
 
 @dataclass
@@ -450,10 +447,10 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     while queue:
         _, i, j, _ = heappop(queue)
         stats["s_pairs"] += 1
-        s = s_operator_weyl(basis[i], basis[j], worder, _base=base, _ids=(i, j))
-        if s.is_zero():
+        work, den = _s_pair(base, i, j)
+        if not work:
             continue
-        nums, _ = _divide_weyl(s, worder, base, live)
+        nums, _ = _divide_weyl(work, den, worder, base, live)
         stats["reductions"] += 1
         if not nums:
             continue
@@ -469,7 +466,7 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     final = []
     for t in keep:
         others = [u for u in keep if u != t]
-        nums, _ = _divide_weyl(basis[t], worder, base, others)
+        nums, _ = _divide_weyl(*_flat(basis[t], base.shift), worder, base, others)
         final.append(_primitive_rem(ring, nums, base))
     # the kept leads ascend and tail division keeps each one: no re-sort
     return WeylGB(tuple(final), worder, stats)
@@ -477,17 +474,15 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
 
 def is_gb(gens, worder: WeylOrder) -> bool:
     """Buchberger criterion: every S-operator divides to remainder zero."""
+    gens = list(gens)
+    _require_weyl(*gens)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero operator")
-    _require_weyl(*gens)
     base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], gens[0].ring.nvars)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            s = s_operator_weyl(gens[i], gens[j], worder, _base=base, _ids=(i, j))
-            if not divide_weyl(s, gens, worder, _base=base)[1].is_zero():
-                return False
-    return True
+    ids = range(len(gens))
+    return not any(_divide_weyl(*_s_pair(base, i, j), worder, base, ids)[0]
+                   for i in ids for j in range(i + 1, len(gens)))
 
 
 def gb_implies_delta_check(gens, worder: WeylOrder) -> bool:

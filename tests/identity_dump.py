@@ -29,10 +29,13 @@ there.  Standard library only.  The hash covers:
   operators and ``stats`` (or the cap message) and each input's
   ``reduce(tail=True)`` trace;
 - the reference-costed weyl-pool inputs under the deglex and the lex
-  x-order (deglex d-order, cap 20): each base, its ``stats`` and the
-  ``divide_weyl`` quotients and remainder of every input;
+  x-order (deglex d-order, cap 20): each base, its ``stats``, the
+  ``divide_weyl`` quotients and remainder of every input, ``is_gb`` of
+  the base and of the inputs, and ``s_operator_weyl`` of each pair of
+  the base's first three elements;
 - the same weyl-pool inputs under the lex d-order (deglex x-order, cap
-  20): each base and its ``stats``;
+  20): each base, its ``stats`` and the same ``is_gb`` and
+  ``s_operator_weyl`` values;
 - the cli-batch invocations: exit code, stdout and stderr, with the
   temporary problem directory replaced by a placeholder; then, in the
   same process, so through the parsers those calls built, each
@@ -171,6 +174,15 @@ def member_section(ref, rings):
                    _trace(dg.reduce(p, b.genset, tail=True))]
 
 
+def _weyl_checks(gens, ops, worder):
+    """is_gb of the base and of its inputs, and the S-operators of the
+    pairs among the base's first three elements."""
+    head = ops[:3]
+    pairs = [str(dg.s_operator_weyl(f, g, worder))
+             for a, f in enumerate(head) for g in head[a + 1:]]
+    return [dg.is_gb(ops, worder), dg.is_gb(gens, worder), pairs]
+
+
 def weyl_section(ref, rings):
     pool = {p["id"]: p for p in corpus.weyl_pool()}
     caps = 0
@@ -190,7 +202,8 @@ def weyl_section(ref, rings):
             for g in gens:
                 q, r = dg.divide_weyl(g, list(w.ops), worder)
                 divs.append([[str(x) for x in q], str(r)])
-            yield [kind, i, [str(g) for g in w.ops], w.stats, divs]
+            yield [kind, i, [str(g) for g in w.ops], w.stats, divs,
+                   _weyl_checks(gens, w.ops, worder)]
     print(f"weyl: {caps} cap hits", file=sys.stderr)
 
 
@@ -208,7 +221,7 @@ def weyl_lex_d_section(ref, rings):
         except dg.CompletionCapExceeded as e:
             yield [i, "cap", str(e)]
             continue
-        yield [i, [str(g) for g in w.ops], w.stats]
+        yield [i, [str(g) for g in w.ops], w.stats, _weyl_checks(gens, w.ops, worder)]
 
 
 def cli_section(ref, rings):

@@ -29,6 +29,21 @@ X2 = Poly.variable(2, 1)
 ONE = Poly.one(2)
 
 
+def test_division_rejects_a_polynomial_of_another_ring():
+    # x1 of Q[x1] against x2 of Q[x1, x2]: packed keys of two rings do
+    # not compare, so the division and the ideal raise instead of
+    # answering; the zero ideal has no generator and so no ring
+    o, x1 = deglex(), Poly.variable(1, 0)
+    ideal = PolyIdeal([X2], o)
+    for call in (lambda: divide(x1, [X2], o), lambda: divide(X1, [X2, x1], o),
+                 lambda: ideal.contains(x1), lambda: ideal.member_with_cofactors(x1)):
+        with pytest.raises(ValueError, match="polynomial ring mismatch"):
+            call()
+    assert ideal.contains(X2) and not ideal.contains(X1)
+    assert not PolyIdeal([], o).contains(x1)
+    assert PolyIdeal([], o).divide(x1) == ([], x1)
+
+
 def test_divide_identity_holds():
     o = deglex()
     f = X1 * X1 * X2 + X2 * X2 + 3

@@ -89,9 +89,9 @@ def test_reduce_descent_check_survives_optimize():
 # larger x1^2*d1, and only the strict-descent check stops the loop
 WRONG_HEAD_DIVISION = """
 import sys
-from diffgb import RingSpec, WeylOrder, divide_weyl
+from diffgb import RingSpec, WeylOrder
 from diffgb.poly import _layout
-from diffgb.weylbasis import _Divisors
+from diffgb.weylbasis import _Divisors, _divide_weyl, _flat
 
 ring = RingSpec(1)
 x, d = ring.embed(ring.x(0)), ring.d(0)
@@ -100,7 +100,7 @@ g = x * d + x * x * d
 k = _layout(1).pack((1,))
 base = _Divisors([g], [k << _Divisors([], [], 1).shift | k], 1)
 try:
-    divide_weyl(x * d, [g], WeylOrder(), _base=base)
+    _divide_weyl(*_flat(x * d, base.shift), WeylOrder(), base, [0])
 except AssertionError as e:
     print(sys.flags.optimize, e)
 """

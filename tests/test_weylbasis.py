@@ -28,7 +28,8 @@ from diffgb import weylbasis
 from diffgb.deltabasis import CompletionCapExceeded
 from diffgb.orders import divides
 from diffgb.poly import _layout
-from diffgb.weylbasis import _Divisors, _lead_full, _primitive_weyl
+from diffgb.weylbasis import (_Divisors, _divide_weyl, _flat, _lead_full, _primitive_rem,
+                               _primitive_weyl, _s_pair, _unflatten)
 from helpers import (
     add_exp,
     assert_canonical_op,
@@ -360,7 +361,7 @@ def test_s_operator_matches_textbook_with_and_without_memo_fuzz():
         for i, j in [(0, 1), (1, 2), (2, 0), (0, 2), (1, 1)]:
             want = textbook_s_operator(ops[i], ops[j], w)
             for got in (s_operator_weyl(ops[i], ops[j], w),
-                        s_operator_weyl(ops[i], ops[j], w, _base=base, _ids=(i, j))):
+                        _unflatten(r, *_s_pair(base, i, j), base)):
                 assert got == want
                 assert_canonical_op(got)
 
@@ -380,7 +381,7 @@ def test_memo_is_keyed_by_base_index_fuzz():
             gens = [ops[k] for k in ids]
             p = rand_qop(rng, r, max_order=3, max_terms=4)
             qs, rem = divide_weyl(p, gens, w)
-            assert divide_weyl(p, gens, w, _base=base, _ids=ids) == (None, rem)
+            assert _unflatten(r, *_divide_weyl(*_flat(p, base.shift), w, base, ids), base) == rem
             # the cofactors of the memo-free division rebuild p
             rebuilt = rem
             for q, g in zip(qs, gens):
@@ -388,7 +389,49 @@ def test_memo_is_keyed_by_base_index_fuzz():
             assert rebuilt == p
         # and in the base's own order, as the pair loop divides
         p = rand_qop(rng, r, max_order=3, max_terms=4)
-        assert divide_weyl(p, ops, w, _base=base) == (None, divide_weyl(p, ops, w)[1])
+        nums, den = _divide_weyl(*_flat(p, base.shift), w, base, range(4))
+        assert _unflatten(r, nums, den, base) == divide_weyl(p, ops, w)[1]
+
+
+def test_flat_route_matches_the_public_route_fuzz(monkeypatch):
+    # the pair loop's route, the S kernel's numerators (not in lowest
+    # terms) straight into the division kernel, against the public
+    # route through DiffOp: the same primitive remainder in the same
+    # number of steps, also with the numerators scaled by an integer
+    made = []
+
+    class Spy(_Divisors):
+        __slots__ = ()
+
+        def __init__(self, ops, leads, nvars):
+            made.append(self)
+            super().__init__(ops, leads, nvars)
+
+    monkeypatch.setattr(weylbasis, "_Divisors", Spy)
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(30):
+        w = rng.choice(ORDERS)
+        r = rng.choice([ring1(w.order_d.kind), ring2(w.order_d.kind)])
+        gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1) for _ in range(3)]
+        for ops in (gens, list(buchberger_weyl(gens, w).ops)):
+            base = divisors(ops, w)
+            for i in range(len(ops)):
+                for j in range(i + 1, len(ops)):
+                    _, rem = divide_weyl(s_operator_weyl(ops[i], ops[j], w), ops, w)
+                    steps = made[-1].steps
+                    for k in (1, rng.choice([-1, 1]) * rng.randint(2, 99)):
+                        work, den = _s_pair(base, i, j)
+                        work = {e: c * k for e, c in work.items()}
+                        before = base.steps
+                        nums, _ = _divide_weyl(work, den, w, base, range(len(ops)))
+                        assert base.steps - before == steps
+                        if nums:
+                            assert _primitive_rem(r, nums, base) == _primitive_weyl(rem, w)
+                        else:
+                            assert rem.is_zero()
+                        seen.add(bool(nums))
+    assert seen == {True, False}
 
 
 def test_is_gb_matches_textbook_criterion_fuzz():
@@ -434,6 +477,36 @@ def test_parameter_rings_are_rejected_at_every_entry_point():
             call()
 
 
+def weyl_ops(ring):
+    x1, d1 = ring.embed(ring.x(0)), ring.d(0)
+    return x1 * d1, d1 + x1
+
+
+@pytest.mark.parametrize("other", [RingSpec(1), RingSpec(2, names=("y1", "y2")), ring2("lex")],
+                         ids=["n", "names", "d-order"])
+def test_weyl_entry_points_reject_an_operator_of_another_ring(other):
+    # the same operators over another ring: every entry point raises, as
+    # reduce does, for the dividend and a divisor alike, zero operators
+    # included, and answers as before over one ring
+    f, g = weyl_ops(ring2())
+    q, h = weyl_ops(other)
+    for call in (lambda: divide_weyl(q, [f, g], W),
+                 lambda: divide_weyl(f, [g, q], W),
+                 lambda: s_operator_weyl(q, g, W),
+                 lambda: s_operator_weyl(f, q, W),
+                 lambda: buchberger_weyl([f, q], W),
+                 lambda: buchberger_weyl([q, g], W),
+                 lambda: buchberger_weyl([f, DiffOp.zero(other)], W),
+                 lambda: is_gb([f, g, q], W),
+                 lambda: is_gb([f, g, DiffOp.zero(other)], W)):
+        with pytest.raises(ValueError, match="operator ring mismatch"):
+            call()
+    for ops in ([f, g], [q, h]):
+        base = buchberger_weyl(ops, W).ops
+        assert is_gb(base, W)
+        assert all(divide_weyl(p, base, W)[1].is_zero() for p in ops)
+
+
 # -- counters ---------------------------------------------------------------
 
 
@@ -446,13 +519,15 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
     # monomial to the remainder, so the pair loop's divisions, redone
     # through the public path, account for every counted step; the
     # tail reductions after the loop (the last len(ops) divisions) are
-    # not counted.  The loop divides through the kernel _divide_weyl.
+    # not counted.  The loop divides through the kernel _divide_weyl,
+    # which consumes its work: the spy rebuilds the dividend first.
     real = weylbasis._divide_weyl
     calls = []
 
-    def spy(p, worder, base, ids, cofd=None):
+    def spy(work, den, worder, base, ids, cofd=None):
+        p = _unflatten(base.ops[0].ring, dict(work), den, base)
         calls.append((p, [base.ops[k] for k in ids], worder))
-        return real(p, worder, base, ids, cofd)
+        return real(work, den, worder, base, ids, cofd)
 
     monkeypatch.setattr(weylbasis, "_divide_weyl", spy)
     rng = random.Random(74)
@@ -478,10 +553,11 @@ def test_division_steps_count_the_pair_loop_divisions_fuzz(monkeypatch):
 
 def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
     # read from outside the loop: every popped pair forms one
-    # S-operator, every nonzero one is divided once (by the kernel
-    # _divide_weyl), the tail pass divides each output element once,
-    # and every addition grows the base that the memo holds
-    real_s, real_div = weylbasis.s_operator_weyl, weylbasis._divide_weyl
+    # S-operator (by the kernel _s_pair), every nonzero one is divided
+    # once (by the kernel _divide_weyl), the tail pass divides each
+    # output element once, and every addition grows the base that the
+    # memo holds
+    real_s, real_div = weylbasis._s_pair, weylbasis._divide_weyl
     bases, s_calls, divisions = [], [], []
 
     class Spy(_Divisors):
@@ -500,7 +576,7 @@ def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
         return real_div(*args, **kw)
 
     monkeypatch.setattr(weylbasis, "_Divisors", Spy)
-    monkeypatch.setattr(weylbasis, "s_operator_weyl", s_spy)
+    monkeypatch.setattr(weylbasis, "_s_pair", s_spy)
     monkeypatch.setattr(weylbasis, "_divide_weyl", div_spy)
     rng = random.Random(75)
     added = 0
