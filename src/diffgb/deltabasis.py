@@ -12,17 +12,26 @@ The public functions take and return exponent tuples.  Inside, an
 exponent is ``DiffOp``'s packed d-key (``poly._layout(n)``), so a shift
 alpha - e is one subtraction, "e divides alpha" one guard test and an
 lcm ``_Layout.lcm``; the memos of a ``GeneratorSet`` are keyed by it.
+
+An S-operator sum_k lam_k d^(alpha - e_k) F_k is built without
+``DiffOp`` arithmetic: ``_s_operator`` sums the Leibniz terms of each
+d^(alpha - e_k) F_k, times lam_k, as integer numerators per d-key over
+one denominator, and puts each d-key's coefficient in lowest terms
+once.  It checks the degree limit that ``DiffOp.__mul__`` would, on the
+d-keys and on the x-degrees.  A target with one participant has no
+S-operators, and none of its cone data is built for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import lcm
 
-from .diffop import DiffOp, RingSpec
+from .diffop import DiffOp, RingSpec, _leibniz_shifts
 from .groebner import PolyIdeal, syzygies
 from .orders import ExpVec, minimal_indices
-from .poly import _LIMIT, Poly, _degree_error, _layout, _sort_key
+from .poly import _LIMIT, Poly, _degree_error, _layout, _lowest, _sort_key
 
 
 class CompletionCapExceeded(RuntimeError):
@@ -296,7 +305,11 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     The generator set keeps them under alpha until an append changes
     alpha's participants; a later call gets a new list of the same
     operators, each ``lam`` padded with a zero per generator appended
-    since (those do not cover alpha)."""
+    since (those do not cover alpha).  A target with one participant
+    has none: one nonzero coefficient has no syzygies, so the call
+    returns before the cone base or the syzygies are built, and it
+    keeps nothing.  Each operator is summed by ``_s_operator`` in one
+    integer pass."""
     f = GeneratorSet.wrap(f)
     ring = f.ring
     alpha = tuple(alpha)
@@ -313,26 +326,73 @@ def s_delta_operators(f, alpha: ExpVec) -> list[SDeltaOp]:
     idxs = () if a is None else f._participants(a)
     if not idxs or tuple(map(max, zip(*(f.exps[i] for i in idxs)))) != alpha:
         raise ValueError(f"{alpha} is not an lcm target of the generator exponents")
+    if len(idxs) == 1:
+        return []
     # the cone ideal holds these same coefficients in this same order,
     # so its cached base is the one syzygies would compute
     cone = f._cone(idxs)
     basis = (cone.groebner, cone.expression_matrix)
     order = _sort_key(ring.order_delta, ring.n)
+    zero = Poly.zero(ring.nvars)
     out = []
     for part in syzygies(cone.generators, ring.x_order(), _basis=basis):
-        lam = [Poly.zero(ring.nvars) for _ in f.ops]
-        op = DiffOp.zero(ring)
+        lam = [zero] * len(f.ops)
         for pos, i in enumerate(idxs):
             lam[i] = part[pos]
-            if part[pos].is_zero():
-                continue
-            shift = DiffOp._make(ring, {a - f._keys[i]: part[pos]})
-            op = op + shift * f.ops[i]
+        op = _s_operator(f, a, idxs, part)
         if op and (op._exp() >= a if order is None else order(op._exp()) >= order(a)):
             raise AssertionError(f"S-operator at {alpha} does not drop below it")
         out.append(SDeltaOp(alpha, tuple(lam), op))
     f._sops[a] = tuple(out)
     return out
+
+
+def _s_operator(f: GeneratorSet, a: int, idxs, part) -> DiffOp:
+    """sum_k part[k] * d^(a - e_k) * F_k over the participants k =
+    ``idxs`` of the packed target a, in one fraction-free pass; ``part``
+    is a row of ``syzygies``, so its entries have integer coefficients.
+
+    The Leibniz terms of each d^(a - e_k) * F_k (``_leibniz_shifts``)
+    times part[k] are summed as integer numerators per d-key over one
+    denominator, the lcm of the F_k's, and each d-key's coefficient is
+    put in lowest terms once.  No ``DiffOp`` product or sum is formed,
+    so the degree limit of ``DiffOp.__mul__`` is checked here, in its
+    order: per term of F_k, first its d-key shifted by a - e_k, then the
+    x-degree of part[k]'s largest term times the term's coefficient (a
+    derivative never outgrows the coefficient it comes from)."""
+    ring = f.ring
+    nv = ring.nvars
+    lay = f._lay
+    dtop, xtop = lay.top, _layout(nv).top
+    gens = [(part[pos], f.ops[i], a - f._keys[i]) for pos, i in enumerate(idxs) if part[pos]]
+    den = lcm(*(p._den for _, g, _ in gens for p in g._terms.values()))
+    acc: dict[int, dict[int, int]] = {}
+    for lam, g, beta in gens:
+        ltop = max(lam._nums)
+        shifts = lay.unpack(beta)
+        for e2, p2 in g._terms.items():
+            e = beta + e2
+            if e >= dtop:
+                raise _degree_error(ring.n)
+            if ltop + max(p2._nums) >= xtop:
+                raise _degree_error(nv)
+            for gamma, q in _leibniz_shifts(shifts, lay.units, p2):
+                slot = acc.get(e - gamma)
+                if slot is None:
+                    slot = acc[e - gamma] = {}
+                get = slot.get
+                m = den // q._den
+                qs = q._nums.items()
+                for x1, c1 in lam._nums.items():
+                    c1 *= m
+                    for x2, c2 in qs:
+                        x = x1 + x2
+                        c = get(x, 0) + c1 * c2
+                        if c:
+                            slot[x] = c
+                        else:
+                            del slot[x]
+    return DiffOp._make(ring, {e: _lowest(nv, xs, den) for e, xs in acc.items() if xs})
 
 
 def _first_failure(f: GeneratorSet, stats: dict):

@@ -125,7 +125,7 @@ def _leibniz_shifts(beta: ExpVec, units, p: Poly):
                 dq = dq.partial(i)
                 if dq.is_zero():
                     break
-                grown.append((g + k * u, dq * comb(bi, k)))
+                grown.append((g + k * u, dq._scaled(comb(bi, k))))
         items = grown
     return items
 

@@ -5,12 +5,18 @@ algorithm with expression tracking (every basis element keeps its
 representation over the input generators), membership certificates
 against the original generators, and syzygy generators obtained by
 Schreyer lifting transported back to the input list.
+
+The division is the fraction-free kernel ``_divide`` on integer
+numerators over one denominator; ``divide`` wraps it.  The pair loops
+of ``_tracked_groebner`` and ``syzygies`` form each S-polynomial
+x^a g_i - x^b g_j in that integer form (``_s_poly``) and hand it to
+the kernel, with no ``Poly`` product or difference in between.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .orders import MonomialOrder, critical_pairs, minimal_indices
 from .poly import Poly, _degree_error, _layout, _lowest, _sort_key, primitive_scale
@@ -28,26 +34,17 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     monomial of r divisible by any leading monomial of gens, and every
     q_i*gens_i bounded above by the leading monomial of f.
 
-    The division is fraction-free: it keeps integer numerators over one
-    running denominator, and so do the quotients.  A quotient term is
-    written as its integer numerator with the running denominator of
-    the moment, and each quotient is put in lowest terms once, at the
-    end.  When the first divisor is a constant c, its lead divides
-    every monomial, so the result is (f/c, 0, ..., 0) and remainder 0,
-    computed in one scaling (none when c is 1); a cone ideal's base is
-    [1] whenever the cone is the unit ideal.
-
     ``_heads`` is the list of ``(g._lm(order), numerator of lc(g))``
     for the divisors, in order, with the leads as packed keys (see
     ``poly``), when the caller already holds it (a Groebner loop or a
     cached base); the divisors are then taken to be nonzero and over
     f's variables, which a call without it checks.
 
-    Exponents are packed keys throughout: a head divides a term when
-    the guard test passes, the quotient monomial is the difference and
-    a product the sum.  Under a graded order a product term never
-    outgrows the term it cancels; under lex it may, so each lex step
-    checks the degree limit of the divisor's largest term.
+    When the first divisor is a constant c, its lead divides every
+    monomial, so the result is (f/c, 0, ..., 0) and remainder 0,
+    computed in one scaling (none when c is 1); a cone ideal's base is
+    [1] whenever the cone is the unit ideal.  Any other division is the
+    kernel ``_divide`` on f's numerators and denominator.
     """
     gens = list(gens)
     heads = _heads
@@ -57,12 +54,35 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
         if any(g.is_zero() for g in gens):
             raise ValueError("division by a zero polynomial")
         heads = _heads_of(gens, order)
-    nv = f.nvars
-    zero = Poly._make(nv, {})
     if heads and not heads[0][0]:
+        zero = Poly._make(f.nvars, {})
         d, c = gens[0]._den, heads[0][1]
         q = f if d == c else f._scaled(Fraction(d, c))
         return [q] + [zero] * (len(gens) - 1), zero
+    return _divide(dict(f._nums), f._den, f.nvars, gens, order, heads)
+
+
+def _divide(work: dict, den: int, nv: int, gens, order: MonomialOrder, heads):
+    """The fraction-free division kernel of ``divide``: the dividend is
+    sum work[e] / den * x^e over packed keys e in ``nv`` variables,
+    nonzero integer numerators only, not necessarily in lowest terms;
+    the kernel consumes ``work``.  ``heads`` is ``divide``'s ``_heads``
+    of the nonzero divisors ``gens``.  Returns (cofactors, remainder)
+    as ``divide`` does, each in lowest terms.  The S-polynomials of
+    ``_tracked_groebner`` and ``syzygies`` come here directly, from
+    ``_s_poly``: no pair is divided once a constant is in the base.
+
+    It keeps integer numerators over one running denominator, and so do
+    the quotients.  A quotient term is written as its integer numerator
+    with the running denominator of the moment, and each quotient is put
+    in lowest terms once, at the end.
+
+    Exponents are packed keys throughout: a head divides a term when
+    the guard test passes, the quotient monomial is the difference and
+    a product the sum.  Under a graded order a product term never
+    outgrows the term it cancels; under lex it may, so each lex step
+    checks the degree limit of the divisor's largest term.
+    """
     key = _sort_key(order, nv)
     lay = _layout(nv)
     guard = lay.guard
@@ -72,8 +92,6 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
     # denominator den.  A step scales both by gc/h and subtracts pc/h
     # times the divisor's numerators; the processed leading monomial
     # strictly decreases, so each quotient slot is written at most once
-    work = dict(f._nums)
-    den = f._den
     quot = [{} for _ in gens]  # exponent -> (numerator, den at the time)
     rem = {}  # exponent -> (numerator, den when the term left work)
     while work:
@@ -107,6 +125,7 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
             rem[pe] = (pc, den)
             del work[pe]
     rem = {e: c * (den // d) for e, (c, d) in rem.items()}
+    zero = Poly._make(nv, {})
     out = []
     for (_, gc), q in zip(heads, quot):
         if not q:
@@ -119,6 +138,28 @@ def divide(f: Poly, gens, order: MonomialOrder, _heads=None):
             top = -top
         out.append(_lowest(nv, {e: n * (top // d) for e, (n, d) in q.items()}, top * gc))
     return out, _lowest(nv, rem, den)
+
+
+def _s_poly(gi: Poly, gj: Poly, si: int, sj: int, nv: int) -> tuple[dict, int]:
+    """``x^si * gi - x^sj * gj`` for the packed monomials si and sj, as
+    integer numerators over one denominator, not in lowest terms: the
+    dividend of ``_divide`` for an S-polynomial."""
+    top = _layout(nv).top
+    if si + max(gi._nums) >= top or sj + max(gj._nums) >= top:
+        raise _degree_error(nv)
+    di, dj = gi._den, gj._den
+    den = di if di == dj else lcm(di, dj)
+    ui, uj = den // di, den // dj
+    work = {e + si: c * ui for e, c in gi._nums.items()}
+    get = work.get
+    for e, c in gj._nums.items():
+        e += sj
+        c = get(e, 0) - c * uj
+        if c:
+            work[e] = c
+        else:
+            del work[e]
+    return work, den
 
 
 def _row_sub(row: dict, q: Poly, other: dict) -> dict:
@@ -200,10 +241,11 @@ def _tracked_groebner(gens, order: MonomialOrder):
         if l == ei + ej:
             continue  # coprime leads: S-polynomial reduces to zero
         # both leads divide their lcm: the differences are valid keys
-        mi = Poly._make(nv, {l - ei: 1})
-        mj = Poly._make(nv, {l - ej: 1})
-        q, r = divide(mi * basis[i] - mj * basis[j], basis, order, _heads=heads)
+        q, r = _divide(*_s_poly(basis[i], basis[j], l - ei, l - ej, nv), nv,
+                       basis, order, heads)
         if r:
+            mi = Poly._make(nv, {l - ei: 1})
+            mj = Poly._make(nv, {l - ej: 1})
             row = _row_sub({k: mi * a for k, a in exprs[i].items()}, mj, exprs[j])
             for t, qt in enumerate(q):
                 if qt:
@@ -222,12 +264,13 @@ def _tracked_groebner(gens, order: MonomialOrder):
     zero = Poly.zero(nv)
     for t in keep:
         others = [u for u in keep if u != t]
-        q, r = divide(basis[t], [basis[u] for u in others], order,
-                      _heads=[heads[u] for u in others])
-        row = exprs[t]
-        for qt, u in zip(q, others):
-            if qt:
-                row = _row_sub(row, qt, exprs[u])
+        r, row = basis[t], exprs[t]
+        if others:  # a lone survivor is reduced as it stands
+            q, r = divide(r, [basis[u] for u in others], order,
+                          _heads=[heads[u] for u in others])
+            for qt, u in zip(q, others):
+                if qt:
+                    row = _row_sub(row, qt, exprs[u])
         final.append(r)
         final_exprs.append([row.get(k, zero) for k in range(cols)])
     # the kept leads ascend and tail division keeps each one: no re-sort
@@ -269,7 +312,7 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
     G, A = _tracked_groebner(gens, order) if _basis is None else _basis
     t = len(G)
     heads = _heads_of(G, order)
-    lcm = _layout(nv).lcm
+    key_lcm = _layout(nv).lcm
 
     B = []
     for g in gens:
@@ -278,23 +321,23 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
             raise AssertionError("a generator does not divide to zero by its own base")
         B.append(q)
 
+    # each row below is the negative of its syzygy; the normalization
+    # fixes the sign, so no negated copies are built
     raw = []
     for i in range(t):
         for j in range(i + 1, t):
             ei, ej = heads[i][0], heads[j][0]
-            l = lcm(ei, ej)
-            mi = Poly._make(nv, {l - ei: 1})
-            mj = Poly._make(nv, {l - ej: 1})
-            q, rem = divide(mi * G[i] - mj * G[j], G, order, _heads=heads)
+            l = key_lcm(ei, ej)
+            q, rem = _divide(*_s_poly(G[i], G[j], l - ei, l - ej, nv), nv, G, order, heads)
             if rem:
                 raise AssertionError("an S-polynomial of the base leaves a remainder")
-            vg = [-qq for qq in q]
-            vg[i] = vg[i] + mi
-            vg[j] = vg[j] - mj
-            raw.append(_combine(vg, A, r, nv))
+            q[i] = q[i]._plus(Poly._make(nv, {l - ei: 1}), -1)
+            q[j] = q[j]._plus(Poly._make(nv, {l - ej: 1}), 1)
+            raw.append(_combine(q, A, r, nv))
+    one = Poly.one(nv)
     for k in range(r):
-        row = _combine([-b for b in B[k]], A, r, nv)
-        row[k] = row[k] + Poly.one(nv)
+        row = _combine(B[k], A, r, nv)
+        row[k] = row[k]._plus(one, -1)
         raw.append(row)
 
     out = []

@@ -146,6 +146,21 @@ def display_order(nvars: int) -> MonomialOrder:
     return MonomialOrder("deglex", tuple(range(nvars - 1, -1, -1)))
 
 
+def _content(polys) -> tuple[int, int]:
+    """The gcd of every numerator of ``polys`` and the lcm of their
+    denominators; (0, 1) when there are no coefficients.
+
+    The two are coprime: a prime of the lcm divides some denominator,
+    and that polynomial, being canonical, has a numerator it does not
+    divide."""
+    g, den = 0, 1
+    for p in polys:
+        g = gcd(g, *p._nums.values())
+        if p._den != 1:
+            den = lcm(den, p._den)
+    return g, den
+
+
 def content(polys) -> Fraction:
     """Positive rational g with every coefficient of ``polys`` over g an
     integer and those integers coprime; 1 when there are no coefficients.
@@ -153,20 +168,20 @@ def content(polys) -> Fraction:
     Each polynomial is canonical, so its content is the gcd of its
     numerators over its denominator, and the content of all of them is
     the gcd of every numerator over the lcm of the denominators."""
-    nums, dens = [], []
-    for p in polys:
-        nums.extend(p._nums.values())
-        dens.append(p._den)
-    if not nums:
-        return Fraction(1)
-    return Fraction(gcd(*nums), lcm(*dens))
+    g, den = _content(polys)
+    return Fraction(g, den) if g else Fraction(1)
 
 
-def primitive_scale(polys, sign) -> Fraction:
+def primitive_scale(polys, sign):
     """+-1/content(polys): the scale that makes ``polys`` integer-primitive
-    and ``sign``, the one coefficient of theirs a caller names, positive."""
-    g = content(polys)
-    return 1 / g if sign > 0 else -1 / g
+    and ``sign``, the one coefficient of theirs a caller names, positive.
+    ``polys`` holds a nonzero coefficient.  The scale is an ``int`` when
+    the numerators' gcd is 1 and a ``Fraction`` otherwise; ``_scaled``
+    takes either."""
+    g, den = _content(polys)
+    if sign < 0:
+        den = -den
+    return den if g == 1 else Fraction(den, g)
 
 
 def _common_den(data: dict) -> tuple[dict, int]:
@@ -259,7 +274,7 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls.constant(nvars, 1)
+        return cls._make(nvars, {0: 1})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":

@@ -28,11 +28,13 @@ shifted by a, and only d^b * g needs the Leibniz rule.  Each
 (``_Divisors``) of d^b * g per (base index, b), in the fraction-free
 form its kernels subtract, and drops it when it returns.  Few d-shifts
 recur with many x-shifts, so most products are found there.  The delta
-reduction of ``deltabasis`` multiplies d^b * F by a polynomial q, which
+layer of ``deltabasis`` multiplies d^b * F by a polynomial q, which
 costs as much as the product itself, so a memo of d^b * F alone does
-not pay there.  It caches whole cone rows instead
+not pay there.  Its reduction caches whole cone rows instead
 (``GeneratorSet.cone_row``), which a step multiplies by the small
-quotients over the cone's reduced base.
+quotients over the cone's reduced base, and its S-operators sum the
+Leibniz terms of d^b * F times q as integer numerators in one pass,
+forming no product.
 
 The kernels hold a monomial x^a d^b as one int, its full key
 ``d << S | x``: d and x are ``Poly``'s packed keys of b and a in the
@@ -488,7 +490,10 @@ def is_gb(gens, worder: WeylOrder) -> bool:
 def gb_implies_delta_check(gens, worder: WeylOrder) -> bool:
     """One-way consistency between the two base notions: a classical
     base under the elimination order must also pass the d-part base
-    criterion for the d-order alone.  Vacuously true for non-bases."""
+    criterion for the d-order alone.  Vacuously true for non-bases.
+    The ring checks of ``is_gb`` run on every operator, zero ones too."""
+    gens = list(gens)
+    _require_weyl(*gens)
     gens = [g for g in gens if not g.is_zero()]
     if not is_gb(gens, worder):
         return True

@@ -80,6 +80,15 @@ def ring2(order="deglex", m=0):
     return RingSpec(2, m, order_delta=MonomialOrder(order))
 
 
+def packed_ring(k, m=0):
+    """A ring of 1-3 derivations under a d-order whose packed keys sort
+    through a memo: lex, degrevlex, or deglex with the variables reversed."""
+    n = 1 + k % 3
+    order = (MonomialOrder("lex"), MonomialOrder("degrevlex"),
+             MonomialOrder("deglex", tuple(range(n - 1, -1, -1))))[k // 3 % 3]
+    return RingSpec(n, m, order_delta=order)
+
+
 def parse_op(ring, text, **named):
     """Operator from source text in the given ring."""
     pf = ProblemFile(ring, dict(named), None)

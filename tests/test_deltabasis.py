@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,10 +33,12 @@ from diffgb import deltabasis, groebner
 from diffgb.diffop import RingSpec
 from diffgb.orders import MonomialOrder
 from helpers import (
+    assert_canonical_op,
     certify_delta_oracle,
     cone_example_ops,
     example6_ops,
     naive_reduce,
+    packed_ring,
     parse_op,
     rand_op,
     rand_poly,
@@ -786,6 +789,108 @@ def test_s_operators_after_appends_match_a_fresh_generator_set_fuzz():
     assert checked
     with pytest.raises(dataclasses.FrozenInstanceError):
         got[0].operator = DiffOp.zero(r)
+
+
+# -- the integer S-operator build --------------------------------------------
+
+LIMIT = 2 ** 31  # total degrees stay below it
+
+
+def _fractional_op(rng, ring):
+    """A random operator whose coefficients are scaled by signed
+    fractions such as 1/2, each by its own."""
+    op = rand_op(rng, ring, max_order=2, max_terms=3, max_deg=1)
+    return DiffOp(ring, {e: c * Fraction(rng.choice([-1, 1, 3]), rng.choice([1, 2, 4, 6]))
+                         for e, c in op.terms.items()})
+
+
+def test_s_operators_match_the_slow_product_oracle_fuzz():
+    # each S-operator, summed in one integer pass, against
+    # sum_k lam_k * (d^(alpha - e_k) * F_k) through slow_mul; the
+    # fractional coefficients make the pass rescale to the lcm of the
+    # denominators, which the benchmark's inputs never need
+    rng = random.Random(103)
+    built = fractional = 0
+    for k in range(54):
+        r = packed_ring(k, m=k // 9 % 2)
+        f = GeneratorSet([_fractional_op(rng, r) for _ in range(rng.randint(2, 4))])
+        for alpha in lcm_targets(f):
+            idxs = f.participants(alpha)
+            for s in s_delta_operators(f, alpha):
+                combo = DiffOp.zero(r)
+                for i, (lam, e, g) in enumerate(zip(s.lam, f.exps, f)):
+                    if i not in idxs:
+                        assert lam.is_zero()
+                    elif lam:
+                        shift = tuple(a - b for a, b in zip(alpha, e))
+                        combo = combo + slow_mul(DiffOp.term(r, shift, lam), g)
+                assert s.operator == combo
+                assert_canonical_op(s.operator)
+                built += 1
+                fractional += any(c.denominator > 1 for i in idxs if s.lam[i]
+                                  for q in f[i].terms.values() for c in q.terms.values())
+    assert built > 60 and fractional > 30
+
+
+def test_s_operators_keep_the_degree_limit_of_d_keys():
+    # under lex d1 leads d1 + d2^(2^31 - 1), so the target (1, 1) shifts
+    # it by d2 past the limit; one step below, the sum is built
+    r = RingSpec(2, order_delta=MonomialOrder("lex"))
+    d1, d2 = r.d(0), r.d(1)
+    f = GeneratorSet([d1 + DiffOp.term(r, (0, LIMIT - 1), 1), d2])
+    with pytest.raises(ValueError, match=r"^a total degree in 2 variables reaches the limit "
+                                         r"2147483648$"):
+        s_delta_operators(f, (1, 1))
+    f = GeneratorSet([d1 + DiffOp.term(r, (0, LIMIT - 2), 1), d2])
+    (s,) = s_delta_operators(f, (1, 1))
+    assert s.operator.terms == {(0, LIMIT - 1): Poly.one(2) * s.lam[0].lc(r.x_order())}
+
+
+def test_s_operators_keep_the_degree_limit_of_x_degrees():
+    # the syzygy of the leads x1 and x2 has lam_1 = +-x2, which times
+    # the tail x2^(2^31 - 1) of F_1 reaches the limit in the 2 ring
+    # variables (the d-keys have 1); a tail one degree lower is built
+    r = RingSpec(1, 1)
+    x1, x2, d1 = r.embed(r.x(0)), r.embed(r.x(1)), r.d(0)
+    for top, raises in ((LIMIT - 1, True), (LIMIT - 2, False)):
+        f = GeneratorSet([x1 * d1 + r.embed(Poly.monomial(2, (0, top))), x2 * d1])
+        if raises:
+            with pytest.raises(ValueError, match=r"^a total degree in 2 variables reaches "
+                                                 r"the limit 2147483648$"):
+                s_delta_operators(f, (1,))
+        else:
+            (s,) = s_delta_operators(f, (1,))
+            assert s.operator == slow_mul(r.embed(s.lam[0]), f[0]) + slow_mul(
+                r.embed(s.lam[1]), f[1])
+
+
+def test_a_one_participant_target_has_no_s_operators_and_builds_no_cone():
+    # one nonzero coefficient has no syzygies: the target answers []
+    # before its cone is built, and the cone built later is the one a
+    # generator set that never asked for S-operators builds
+    rng = random.Random(107)
+    single = 0
+    for k in range(40):
+        r = packed_ring(k, m=k % 2)
+        ops = [rand_op(rng, r) for _ in range(rng.randint(1, 3))]
+        f, fresh = GeneratorSet(ops), GeneratorSet(ops)
+        for alpha in lcm_targets(f):
+            if len(f.participants(alpha)) != 1:
+                continue
+            single += 1
+            cones = dict(f._cones)
+            assert s_delta_operators(f, alpha) == []
+            assert f._cones == cones
+            got, want = f.cone_ideal(alpha), fresh.cone_ideal(alpha)
+            assert got.generators == want.generators
+            assert (got.groebner, got.expression_matrix) == (
+                want.groebner, want.expression_matrix)
+    assert single > 40
+    r, p1, p2 = example6_ops()
+    f = GeneratorSet([p1, p2])
+    assert s_delta_operators(f, (1, 0)) == [] and not f._cones
+    assert f.cone_ideal((1, 0)).groebner == (r.x(0),)
+    assert f.cone_ideal((1, 0)).expression_matrix == ((Poly.one(2),),)
 
 
 # -- an independent certificate ----------------------------------------------

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from diffgb import DiffOp, MonomialOrder, Poly, RingSpec, reduce
+from diffgb import DiffOp, Poly, RingSpec, reduce
 from helpers import (
     assert_canonical_op,
     cone_example_ops,
     example6_ops,
     integer_primitive,
     naive_reduce,
+    packed_ring,
     parse_op,
     rand_op,
     ring1,
@@ -288,15 +289,6 @@ def test_d_exponents_that_are_not_ints_are_refused(bad):
 # -- packed d-exponents -------------------------------------------------------
 
 LIMIT = 2 ** 31  # total d-degrees stay below it
-
-
-def packed_ring(k, m=0):
-    """A ring of 1-3 derivations under a d-order whose packed keys sort
-    through a memo: lex, degrevlex, or deglex with the variables reversed."""
-    n = 1 + k % 3
-    order = (MonomialOrder("lex"), MonomialOrder("degrevlex"),
-             MonomialOrder("deglex", tuple(range(n - 1, -1, -1))))[k // 3 % 3]
-    return RingSpec(n, m, order_delta=order)
 
 
 def test_packed_arithmetic_and_reduce_match_the_tuple_oracles_fuzz():

@@ -269,6 +269,49 @@ def test_syzygy_rows_annihilate_fuzz():
             assert combo.is_zero()
 
 
+@pytest.mark.parametrize("kind", ["deglex", "lex", "degrevlex"])
+def test_s_polynomials_keep_the_degree_limit(kind):
+    # an S-polynomial is summed from integer numerators, so its shifts
+    # check the limit the products checked: past it at the lcm of the
+    # leads, and under lex at a tail term of higher degree than its lead
+    o, big = MonomialOrder(kind), 2 ** 31 - 1
+    x1x2 = Poly(2, {(1, 1): 1})
+    cases = [([Poly(2, {(big, 0): 1}), x1x2], True),
+             ([Poly(2, {(big - 1, 0): 1, (0, 1): 1}), x1x2], False)]
+    if kind == "lex":
+        cases.append(([Poly(2, {(1, 0): 1, (0, big): 1}), x1x2], True))
+    for gens, raises in cases:
+        if raises:
+            for call in (buchberger, syzygies):
+                with pytest.raises(ValueError, match="^a total degree in 2 variables "
+                                                     "reaches the limit 2147483648$"):
+                    call(gens, o)
+        else:
+            G = buchberger(gens, o)
+            assert len(G) == 3 and not any(divide(g, G, o)[1] for g in gens)
+
+
+def test_syzygy_rows_are_primitive_with_a_negative_last_lead_fuzz():
+    # the Schreyer rows and the rows of I - B*A are built negated and
+    # left to the normalization: each row is integer-primitive, its last
+    # nonzero entry has a negative lead and it annihilates the inputs
+    rng = random.Random(97)
+    count = 0
+    for k in range(80):
+        o = rng.choice([deglex(), lex(), degrevlex()])
+        nv = rng.randint(1, 3)
+        gens = [rand_qpoly(rng, nv, 2, 3) for _ in range(rng.randint(1, 4))]
+        if k % 3 == 0:
+            gens.append(gens[-1] * rand_qpoly(rng, nv, 1, 2))
+        for row in syzygies(gens, o):
+            count += 1
+            assert len(row) == len(gens)
+            assert integer_primitive(c for p in row for c in p.terms.values())
+            assert next(p for p in reversed(row) if p).lc(o) < 0
+            assert sum((v * g for v, g in zip(row, gens)), Poly.zero(nv)).is_zero()
+    assert count > 100
+
+
 def test_syzygies_generate_kernel_on_small_cases():
     # every ad hoc kernel element must be a module combination of the
     # returned rows; checked through a degree-bounded linear search
@@ -459,15 +502,15 @@ def test_expression_matrices_and_syzygies_match_the_golden_file(case):
 def test_tracked_groebner_stops_once_a_constant_is_in_the_base(kind, gens, monkeypatch):
     # every S-polynomial would divide to zero by the constant, so no
     # division may see one among its divisors (the tail reduction of
-    # the constant itself divides by nothing)
-    divide_ = groebner.divide
+    # the constant itself divides by nothing); the spy sits on the
+    # kernel, which the pair loop calls and divide wraps
+    divide_ = groebner._divide
 
-    def checked(f, divisors, order, _heads=None):
-        divisors = list(divisors)
+    def checked(work, den, nv, divisors, order, heads):
         assert not any(g.is_constant() for g in divisors), "pair popped after a constant"
-        return divide_(f, divisors, order, _heads=_heads)
+        return divide_(work, den, nv, divisors, order, heads)
 
-    monkeypatch.setattr(groebner, "divide", checked)
+    monkeypatch.setattr(groebner, "_divide", checked)
     G, _ = _tracked_groebner(_cone_polys(gens), MonomialOrder(kind))
     assert [str(g) for g in G] == ["1"]
 

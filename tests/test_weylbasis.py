@@ -507,6 +507,22 @@ def test_weyl_entry_points_reject_an_operator_of_another_ring(other):
         assert all(divide_weyl(p, base, W)[1].is_zero() for p in ops)
 
 
+def test_bridge_checks_the_rings_of_zero_operators_too():
+    # a zero operator over another ring, or over a parameter ring, is
+    # refused as is_gb refuses it, before the zeros are dropped
+    r = ring2()
+    x1d1 = r.embed(r.x(0)) * r.d(0)
+    with pytest.raises(ValueError, match="operator ring mismatch"):
+        is_gb([x1d1, DiffOp.zero(RingSpec(1))], W)
+    with pytest.raises(ValueError, match="operator ring mismatch"):
+        gb_implies_delta_check([x1d1, DiffOp.zero(RingSpec(1))], W)
+    with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
+        gb_implies_delta_check([x1d1, DiffOp.zero(RingSpec(2, 1))], W)
+    with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
+        gb_implies_delta_check([DiffOp.zero(RingSpec(1, 1))], W)
+    assert gb_implies_delta_check([x1d1, DiffOp.zero(r)], W)
+
+
 # -- counters ---------------------------------------------------------------
 
 
