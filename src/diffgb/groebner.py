@@ -340,15 +340,9 @@ def syzygies(gens, order: MonomialOrder, _basis=None) -> list[tuple[Poly, ...]]:
         row[k] = row[k]._plus(one, -1)
         raw.append(row)
 
-    out = []
-    seen = set()
-    for v in raw:
-        w = _normalize_vector(v, order)
-        if w is None or w in seen:
-            continue
-        seen.add(w)
-        out.append(w)
-    return out
+    # one hash per row: a dict keeps the first of equal rows, in order
+    rows = (_normalize_vector(v, order) for v in raw)
+    return list(dict.fromkeys(w for w in rows if w is not None))
 
 
 class PolyIdeal:
