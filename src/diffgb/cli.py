@@ -305,7 +305,7 @@ def run_command(problem: ProblemFile, command: str, *, expr=None, alpha=None,
 _HELP = {
     "run": "execute the command statement embedded in the problem file",
     "delta-gb": "complete the generators to a certified base",
-    "gb": "classical basis under the elimination order (no parameters)",
+    "gb": "classical basis under the elimination order",
     "reduce": "divide an operator by the generators as given",
     "member": "decide left ideal membership of an operator",
     "stair": "minimal exponent stair of the ideal",

@@ -1,4 +1,4 @@
-"""Classical Groebner bases in the Weyl algebra A_n = Q<x, d> (m = 0).
+"""Classical Groebner bases in H[d] = A_n (x) Q[x_{n+1}..x_{n+m}].
 
 Exponents are pairs (x-part, d-part) compared by an elimination order:
 the d-parts first, then the x-parts.  Leading exponents multiply under
@@ -37,15 +37,15 @@ Leibniz terms of d^b * F times q as integer numerators in one pass,
 forming no product.
 
 The kernels hold a monomial x^a d^b as one int, its full key
-``d << S | x``: d and x are ``Poly``'s packed keys of b and a in the
-layout of n variables (``poly._layout(n)``, as m = 0), and S = 32*(n+1)
-is the width of such a key.  Under deglex/deglex in declaration order
-(the default) comparing full keys is the elimination order, so a lead
-is ``max`` of the keys; any other order sorts through a memo of
+``d << S | x`` (``_halves``): d is b's packed key in ``DiffOp``'s layout
+of n variables, x is a's in its coefficient's layout of n + m, and
+S = 32*(n+m+1) is the width of x.  Under deglex/deglex in declaration
+order (the default) comparing full keys is the elimination order, so a
+lead is ``max`` of the keys; any other order sorts through a memo of
 ``(kd(d), kx(x))`` (``_full_key``).  Shifts add and subtract full keys,
-and "a divides b" is one guard test, ``((b | G) - a) & G == G`` with
-``G = guard << S | guard``: the only borrow that crosses a field is the
-x-half's degree field borrowing from the d-half, which happens only
+and "a divides b" is one guard test, ``((b | G) - a) & G == G`` with G
+the guard bits of both halves: the only borrow that crosses a field is
+the x-half's degree field borrowing from the d-half, which happens only
 when a's x-degree exceeds b's, and then a guard bit of the x-half is
 already clear.  The pair loop and ``is_gb`` stay in a flat form, full
 key -> integer numerator over one denominator: the S kernel ``_s_pair``
@@ -101,23 +101,26 @@ class WeylOrder:
 
 
 def _require_weyl(*ops: DiffOp) -> None:
-    if any(p.ring.m for p in ops):
-        raise ValueError("classical bases need a pure operator ring (m = 0)")
     if any(p.ring != ops[0].ring for p in ops):
         raise ValueError("operator ring mismatch")
 
 
 @cache
-def _full_key(worder: WeylOrder, nvars: int):
-    """Sort key of ``worder`` on the full keys of ``nvars`` variables:
+def _halves(n: int, nvars: int):
+    """Layouts of the d- and the x-half of a full key, and its shift S."""
+    return _layout(n), _layout(nvars), _W * (nvars + 1)
+
+
+@cache
+def _full_key(worder: WeylOrder, n: int, nvars: int):
+    """Sort key of ``worder`` on the full keys of ``_halves(n, nvars)``:
     None when the keys are their own (deglex/deglex in declaration
     order), else a memo of (d-key, x-key) through each order's sort key
     of packed exponents."""
-    kd, kx = _sort_key(worder.order_d, nvars), _sort_key(worder.order_x, nvars)
+    kd, kx = _sort_key(worder.order_d, n), _sort_key(worder.order_x, nvars)
     if kd is None and kx is None:
         return None
-    s = _W * (nvars + 1)
-    mask = (1 << s) - 1
+    mask = (1 << (s := _halves(n, nvars)[2])) - 1
 
     def key(w):
         d, x = w >> s, w & mask
@@ -126,25 +129,23 @@ def _full_key(worder: WeylOrder, nvars: int):
 
 
 def exp_full(p: DiffOp, worder: WeylOrder) -> WeylExp:
-    """Largest monomial exponent of p under the elimination order:
-    the x-exponent of the leading monomial of the leading d-coefficient,
-    paired with the leading d-exponent."""
-    _require_weyl(p)
+    """Largest monomial exponent of p under the elimination order: the
+    leading d-exponent, and the x-exponent (all n + m variables, which
+    ``order_x`` orders) of the lead of its coefficient."""
     if p.is_zero():
         raise ValueError("the zero operator has no leading exponent")
-    w, n = _lead_full(p, worder)[0], p.ring.n
-    s, unpack = _W * (n + 1), _layout(n).unpack
-    return WeylExp(unpack(w & ((1 << s) - 1)), unpack(w >> s))
+    w, (dlay, xlay, s) = _lead_full(p, worder)[0], _halves(p.ring.n, p.ring.nvars)
+    return WeylExp(xlay.unpack(w & ((1 << s) - 1)), dlay.unpack(w >> s))
 
 
 def _lead_full(p: DiffOp, worder: WeylOrder) -> tuple[int, Fraction]:
     """Full key of the leading monomial, and its coefficient."""
-    n = p.ring.n
+    n, nvars = p.ring.n, p.ring.nvars
     kd = _sort_key(worder.order_d, n)
     beta = max(p._terms) if kd is None else max(p._terms, key=kd)
     coeff = p._terms[beta]
     e = coeff._lm(worder.order_x)
-    return beta << _W * (n + 1) | e, Fraction(coeff._nums[e], coeff._den)
+    return beta << _halves(n, nvars)[2] | e, Fraction(coeff._nums[e], coeff._den)
 
 
 def _flat(p: DiffOp, s: int) -> tuple[dict, int]:
@@ -156,17 +157,18 @@ def _flat(p: DiffOp, s: int) -> tuple[dict, int]:
 
 
 class _Divisors:
-    """Divisors and leading exponents of one computation over ``nvars``
-    variables, the steps its divisions took, and a memo of d-shifted
-    products: (k, b) -> d^b * ops[k].
+    """Divisors and leading exponents of one computation over ``ring``,
+    the steps its divisions took, and a memo of d-shifted products:
+    (k, b) -> d^b * ops[k].
 
     ``ops`` and ``leads`` are the caller's lists (``buchberger_weyl``'s
     base, which only grows), and k indexes them; a division by a
     sublist names each divisor's k through its ids, never by its
     position there.  Each lead is a full key, and so is every monomial
-    below; ``shift`` is S, ``mask`` selects the x-half and ``guard``
-    holds the guard bits of both halves.  A memo entry, with b a packed
-    d-key, is (den, lc, terms, top): den * d^b * ops[k] = sum over terms
+    below; ``dlay`` and ``xlay`` are the layouts of its halves, ``shift``
+    is S, ``mask`` selects the x-half and ``guard`` holds the guard bits
+    of both halves.  A memo entry, with b a packed d-key, is
+    (den, lc, terms, top): den * d^b * ops[k] = sum over terms
     e -> integer of integer * monomial e, lc the integer at the
     product's lead, and top its largest x-key.  The elimination order
     does not bound the x-degrees of the terms below a lead, so each
@@ -174,16 +176,16 @@ class _Divisors:
     before it is applied.
     """
 
-    __slots__ = ("ops", "leads", "nvars", "lay", "shift", "mask", "guard", "done", "steps")
+    __slots__ = ("ops", "leads", "ring", "dlay", "xlay", "shift", "mask", "guard", "done",
+                 "steps")
 
-    def __init__(self, ops, leads, nvars: int):
+    def __init__(self, ops, leads, ring: RingSpec):
         self.ops = ops
         self.leads = leads
-        self.nvars = nvars
-        lay = self.lay = _layout(nvars)
-        self.shift = s = _W * (nvars + 1)
+        self.ring = ring
+        dlay, xlay, s = self.dlay, self.xlay, self.shift = _halves(ring.n, ring.nvars)
         self.mask = (1 << s) - 1
-        self.guard = lay.guard << s | lay.guard
+        self.guard = dlay.guard << s | xlay.guard
         self.done = {}
         self.steps = 0
 
@@ -212,8 +214,8 @@ class _Divisors:
     def lcm(self, a: int, b: int) -> int:
         """Full key of the lcm, half by half.  Each degree stays below
         2^32, so the x-half's degree field does not carry into the d-half."""
-        s, mask, lcm = self.shift, self.mask, self.lay.lcm
-        return lcm(a >> s, b >> s) << s | lcm(a & mask, b & mask)
+        s, mask = self.shift, self.mask
+        return self.dlay.lcm(a >> s, b >> s) << s | self.xlay.lcm(a & mask, b & mask)
 
 
 def _divide_weyl(work: dict, den: int, worder: WeylOrder, base: _Divisors, ids,
@@ -230,9 +232,9 @@ def _divide_weyl(work: dict, den: int, worder: WeylOrder, base: _Divisors, ids,
     as d-key -> (gc, x-key -> (numerator, den at the step)).
     """
     shifted, leads, s, mask = base.shifted, base.leads, base.shift, base.mask
-    guard, limit = base.guard, base.lay.top
+    guard, limit, ring = base.guard, base.xlay.top, base.ring
     divisors = [(leads[k], k) for k in ids]
-    wkey = _full_key(worder, base.nvars)
+    wkey = _full_key(worder, ring.n, ring.nvars)
     rem = {}  # full key -> (numerator, den when it left work)
 
     prev = None
@@ -241,9 +243,8 @@ def _divide_weyl(work: dict, den: int, worder: WeylOrder, base: _Divisors, ids,
         c = work[m]
         key = m if wkey is None else wkey(m)
         if prev is not None and key >= prev:
-            unpack = base.lay.unpack
-            raise AssertionError(f"division did not descend strictly at "
-                                 f"{WeylExp(unpack(m & mask), unpack(m >> s))}")
+            x, d = base.xlay.unpack(m & mask), base.dlay.unpack(m >> s)
+            raise AssertionError(f"division did not descend strictly at {WeylExp(x, d)}")
         prev = key
         base.steps += 1
         mg = m | guard
@@ -255,7 +256,7 @@ def _divide_weyl(work: dict, den: int, worder: WeylOrder, base: _Divisors, ids,
                 ds, xs = shift >> s, shift & mask
                 pd, gc, terms, top = shifted(k, ds)
                 if xs + top >= limit:
-                    raise _degree_error(base.nvars)
+                    raise _degree_error(ring.nvars)
                 if cofd is not None:
                     # the quotient term is c * pd / (den * gc); every term
                     # of one d-shift reads the same memo entry, so one gc
@@ -314,7 +315,7 @@ def divide_weyl(p: DiffOp, gens, worder: WeylOrder):
     if any(g.is_zero() for g in gens):
         raise ValueError("division by a zero operator")
     nv = p.ring.nvars
-    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], nv)
+    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], p.ring)
     cofd = [{} for _ in gens]
     nums, den = _divide_weyl(*_flat(p, base.shift), worder, base, range(len(gens)), cofd)
     rem = _unflatten(p.ring, nums, den, base)
@@ -349,8 +350,8 @@ def _s_pair(base: _Divisors, i: int, j: int) -> tuple[dict, int]:
     _, af, tf, topf = base.shifted(i, sf >> s)
     _, ag, tg, topg = base.shifted(j, sg >> s)
     xf, xg = sf & mask, sg & mask
-    if max(xf + topf, xg + topg) >= base.lay.top:
-        raise _degree_error(base.nvars)
+    if max(xf + topf, xg + topg) >= base.xlay.top:
+        raise _degree_error(base.ring.nvars)
     h = gcd(af, ag)
     u, v = ag // h, af // h
     if u * af < 0:
@@ -371,8 +372,7 @@ def s_operator_weyl(f: DiffOp, g: DiffOp, worder: WeylOrder) -> DiffOp:
     _require_weyl(f, g)
     if f.is_zero() or g.is_zero():
         raise ValueError("the zero operator has no leading exponent, so no S-operator")
-    base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]],
-                     f.ring.nvars)
+    base = _Divisors([f, g], [_lead_full(f, worder)[0], _lead_full(g, worder)[0]], f.ring)
     return _unflatten(f.ring, *_s_pair(base, 0, 1), base)
 
 
@@ -404,9 +404,9 @@ def buchberger_weyl(gens, worder: WeylOrder, cap: int = 10000) -> WeylGB:
     ring = gens[0].ring
     basis: list[DiffOp] = []
     leads: list[int] = []
-    base = _Divisors(basis, leads, ring.nvars)
+    base = _Divisors(basis, leads, ring)
     divides, w_lcm = base.divides, base.lcm
-    wkey = _full_key(worder, ring.nvars)
+    wkey = _full_key(worder, ring.n, ring.nvars)
     # live: the elements whose lead no later lead divides, the only
     # divisors and the only partners of a new element.  queue: a heap
     # of the open pairs as (sort key of lcm, i, j, lcm), i < j; the key
@@ -481,7 +481,7 @@ def is_gb(gens, worder: WeylOrder) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("need at least one nonzero operator")
-    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], gens[0].ring.nvars)
+    base = _Divisors(gens, [_lead_full(g, worder)[0] for g in gens], gens[0].ring)
     ids = range(len(gens))
     return not any(_divide_weyl(*_s_pair(base, i, j), worder, base, ids)[0]
                    for i in ids for j in range(i + 1, len(gens)))

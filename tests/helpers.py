@@ -4,7 +4,8 @@ The oracles deliberately avoid the code paths they are used to check:
 the division oracles cancel one leading term at a time in ``Poly`` and
 ``DiffOp`` arithmetic and record each quotient monomial as they go,
 naive Buchberger works with a FIFO queue and no pair criteria (in the
-Weyl algebra too, through the public S-operator and division), the
+Weyl algebra too, through a textbook S-operator and the division
+oracle, with every lead read from the tuple view ``terms``), the
 membership oracle is dense linear algebra over the rationals, the
 product oracle moves one derivation at a time instead of using the
 closed Leibniz formula, the delta-reduction oracle subtracts one such
@@ -15,8 +16,12 @@ cone data against the slow oracles and rebuilds the syzygies,
 S-operators and reductions from them.
 """
 
+import importlib.util
+import json
+import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from diffgb import (
     CompletionCapExceeded,
@@ -27,10 +32,8 @@ from diffgb import (
     PolyIdeal,
     ProblemFile,
     RingSpec,
-    divide_weyl,
-    exp_full,
+    WeylExp,
     minimal_stair,
-    s_operator_weyl,
 )
 from diffgb.deltabasis import _first_failure
 from diffgb.orders import deglex, degrevlex, divides, lex
@@ -245,22 +248,41 @@ def naive_divide(f, gens, order):
     return naive_division(f, gens, order)[1]
 
 
+def weyl_lead(op, worder):
+    """Leading (WeylExp, coefficient) of a nonzero operator: the largest
+    monomial of the tuple view ``terms`` under ``WeylOrder.key``."""
+    return max(((WeylExp(x, d), c) for d, q in op.terms.items() for x, c in q.terms.items()),
+               key=lambda t: worder.key(t[0]))
+
+
+def naive_s_operator_weyl(f, g, worder):
+    """mf*f - mg*g with mf = x^a d^b / lc(f) built out and multiplied
+    one derivation at a time."""
+    (wf, cf), (wg, cg) = weyl_lead(f, worder), weyl_lead(g, worder)
+    lx, ld = lcm_exp(wf.x, wg.x), lcm_exp(wf.d, wg.d)
+
+    def multiplier(w, c):
+        return DiffOp.term(f.ring, sub_exp(ld, w.d),
+                           Poly.monomial(f.ring.nvars, sub_exp(lx, w.x), 1 / c))
+
+    return slow_mul(multiplier(wf, cf), f) - slow_mul(multiplier(wg, cg), g)
+
+
 def naive_division_weyl(p, gens, worder):
     """``naive_division`` in the Weyl algebra: the leading monomial is
-    ``exp_full``'s, and each step subtracts the product of its
+    ``weyl_lead``'s, and each step subtracts the product of its
     quotient monomial and the divisor formed by ``slow_mul``."""
     ring = p.ring
     qs = [DiffOp.zero(ring) for _ in gens]
     rem = DiffOp.zero(ring)
     cur = p
     while not cur.is_zero():
-        w = exp_full(cur, worder)
-        c = cur.terms[w.d].terms[w.x]
+        w, c = weyl_lead(cur, worder)
         for i, g in enumerate(gens):
-            h = exp_full(g, worder)
+            h, gc = weyl_lead(g, worder)
             if divides(h.x, w.x) and divides(h.d, w.d):
                 t = DiffOp.term(ring, sub_exp(w.d, h.d), Poly.monomial(
-                    ring.nvars, sub_exp(w.x, h.x), c / g.terms[h.d].terms[h.x]))
+                    ring.nvars, sub_exp(w.x, h.x), c / gc))
                 qs[i] = qs[i] + t
                 cur = cur - slow_mul(t, g)
                 break
@@ -309,7 +331,8 @@ def naive_reduced_groebner(gens, order):
 
 def naive_buchberger_weyl(gens, worder):
     """FIFO Buchberger in the Weyl algebra without pair criteria, then
-    minimalization and tail reduction.
+    minimalization and tail reduction, through ``naive_s_operator_weyl``
+    and ``naive_division_weyl``.
 
     Returns the unique reduced basis, each element monic under
     ``worder``, in ascending lead order.
@@ -318,8 +341,8 @@ def naive_buchberger_weyl(gens, worder):
     queue = [(i, j) for j in range(len(basis)) for i in range(j)]
     while queue:
         i, j = queue.pop(0)
-        s = s_operator_weyl(basis[i], basis[j], worder)
-        r = divide_weyl(s, basis, worder)[1]
+        s = naive_s_operator_weyl(basis[i], basis[j], worder)
+        r = naive_division_weyl(s, basis, worder)[1]
         if not r.is_zero():
             queue.extend((t, len(basis)) for t in range(len(basis)))
             basis.append(r)
@@ -327,16 +350,40 @@ def naive_buchberger_weyl(gens, worder):
     def lead_divides(a, b):
         return divides(a.x, b.x) and divides(a.d, b.d)
 
-    leads = [exp_full(g, worder) for g in basis]
+    leads = [weyl_lead(g, worder)[0] for g in basis]
     mins = []
     for t in sorted(range(len(basis)), key=lambda t: worder.key(leads[t])):
         if not any(lead_divides(leads[u], leads[t]) for u in mins):
             mins.append(t)
     out = []
     for t in mins:
-        r = divide_weyl(basis[t], [basis[u] for u in mins if u != t], worder)[1]
-        w = exp_full(r, worder)
-        out.append(r * (1 / r.terms[w.d].terms[w.x]))
+        r = naive_division_weyl(basis[t], [basis[u] for u in mins if u != t], worder)[1]
+        out.append(r * (1 / weyl_lead(r, worder)[1]))
+    return out
+
+
+# -- benchmark inputs ----------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def complete_pool_sample(count, seed):
+    """A seeded sample of the benchmark's complete pool, restricted to
+    the inputs with a reference cost (the others run for minutes), as
+    (inputs, cap) pairs."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["complete"]
+    pool = {p["id"]: p for p in corpus.complete_pool()}
+    ids = sorted(i for i in pool if ref[i][1] is not None)
+    out = []
+    for i in random.Random(seed).sample(ids, count):
+        prob = pool[i]
+        ring = RingSpec(prob["n"], prob["m"], order_delta=MonomialOrder(prob["order"]))
+        gens = [DiffOp(ring, {e: Poly(ring.nvars, c) for e, c in op.items()})
+                for op in prob["gens"]]
+        out.append((gens, prob["cap"]))
     return out
 
 

@@ -41,7 +41,13 @@ there.  Standard library only.  The hash covers:
   same process, so through the parsers those calls built, each
   subcommand's ``-h``, a missing file argument, a bad ``--cap`` and a
   bad ``--order``, and no arguments or only ``--json``.  ``COLUMNS`` is
-  set to 80, so help text does not depend on the terminal.
+  set to 80, so help text does not depend on the terminal;
+- last, the reference-costed complete-pool inputs with parameters
+  (m > 0) under the elimination order of their ring (deglex x-order,
+  the ring's d-order, cap 20): each base, its ``stats``, the
+  ``divide_weyl`` quotients and remainder of every input, and the same
+  ``is_gb`` and ``s_operator_weyl`` values.  It comes last, so the
+  digests of the sections before it do not move.
 
 Per-section digests and counts go to stderr, the overall sha256 to stdout.
 """
@@ -183,6 +189,15 @@ def _weyl_checks(gens, ops, worder):
     return [dg.is_gb(ops, worder), dg.is_gb(gens, worder), pairs]
 
 
+def _weyl_divisions(gens, ops, worder):
+    """The ``divide_weyl`` quotients and remainder of every input."""
+    divs = []
+    for g in gens:
+        q, r = dg.divide_weyl(g, list(ops), worder)
+        divs.append([[str(x) for x in q], str(r)])
+    return divs
+
+
 def weyl_section(ref, rings):
     pool = {p["id"]: p for p in corpus.weyl_pool()}
     caps = 0
@@ -198,12 +213,8 @@ def weyl_section(ref, rings):
                 caps += 1
                 yield [kind, i, "cap", str(e)]
                 continue
-            divs = []
-            for g in gens:
-                q, r = dg.divide_weyl(g, list(w.ops), worder)
-                divs.append([[str(x) for x in q], str(r)])
-            yield [kind, i, [str(g) for g in w.ops], w.stats, divs,
-                   _weyl_checks(gens, w.ops, worder)]
+            yield [kind, i, [str(g) for g in w.ops], w.stats,
+                   _weyl_divisions(gens, w.ops, worder), _weyl_checks(gens, w.ops, worder)]
     print(f"weyl: {caps} cap hits", file=sys.stderr)
 
 
@@ -222,6 +233,25 @@ def weyl_lex_d_section(ref, rings):
             yield [i, "cap", str(e)]
             continue
         yield [i, [str(g) for g in w.ops], w.stats, _weyl_checks(gens, w.ops, worder)]
+
+
+def weyl_params_section(ref, rings):
+    pool = {p["id"]: p for p in corpus.FIXED + corpus.complete_pool()}
+    caps = 0
+    for i, (_, cost) in sorted(ref["complete"].items()):
+        if cost is None or not pool[i]["m"]:
+            continue
+        ring, gens = rings.gens(pool[i])
+        worder = dg.WeylOrder(dg.MonomialOrder("deglex"), ring.order_delta)
+        try:
+            w = dg.buchberger_weyl(gens, worder, cap=WEYL_CAP)
+        except dg.CompletionCapExceeded as e:
+            caps += 1
+            yield [i, "cap", str(e)]
+            continue
+        yield [i, [str(g) for g in w.ops], w.stats,
+               _weyl_divisions(gens, w.ops, worder), _weyl_checks(gens, w.ops, worder)]
+    print(f"weyl-params: {caps} cap hits", file=sys.stderr)
 
 
 def cli_section(ref, rings):
@@ -247,7 +277,8 @@ def main() -> int:
     for name, section in (("complete", complete_section),
                           ("commutative", commutative_section), ("member", member_section),
                           ("weyl", weyl_section), ("cli", cli_section),
-                          ("d-orders", d_order_section), ("weyl-lex-d", weyl_lex_d_section)):
+                          ("d-orders", d_order_section), ("weyl-lex-d", weyl_lex_d_section),
+                          ("weyl-params", weyl_params_section)):
         h = hashlib.sha256()
         count = 0
         for item in section(ref, workloads.Rings()):

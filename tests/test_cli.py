@@ -251,10 +251,20 @@ def test_compare_consistency(tmp_path, capsys):
     assert "verdict: yes" in out
 
 
-def test_compare_rejects_parameters(tmp_path, capsys):
-    text = "ring x1 x2 x3\ndvars d1 d2\nP = x3*d1\n"
-    rc, _ = run(tmp_path, text, ["compare", "FILE"], capsys)
-    assert rc == 2
+def test_gb_and_compare_serve_parameters(tmp_path, capsys):
+    # x3 is a parameter: S(P, Q) = -x1*x3, and d1 * x1*x3 - x1 * x3*d1 = x3
+    for text, basis in (("ring x1 x2 x3\ndvars d1 d2\nP = x3*d1\n", ["(x3)*d1"]),
+                        ("ring x1 x2 x3\ndvars d1 d2\nP = x3*d1\nQ = d1 + x1\n",
+                         ["(x3)", "(1)*d1 + (x1)"])):
+        rc, out = run(tmp_path, text, ["gb", "FILE", "--json"], capsys)
+        assert rc == 0
+        assert json.loads(out)["outputs"]["basis"] == basis
+        rc, out = run(tmp_path, text, ["compare", "FILE"], capsys)
+        assert rc == 0
+        assert "delta_basis_divides_to_zero: yes" in out
+        assert "weyl_basis_reduces_to_zero: yes" in out
+        assert "weyl_basis_passes_delta_criterion: yes" in out
+        assert "verdict: yes" in out
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):

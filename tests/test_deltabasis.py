@@ -1,12 +1,9 @@
 """Reduction, cone ideals, S-operators, the base criterion, completion."""
 
 import dataclasses
-import importlib.util
 import itertools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -35,6 +32,7 @@ from diffgb.orders import MonomialOrder
 from helpers import (
     assert_canonical_op,
     certify_delta_oracle,
+    complete_pool_sample,
     cone_example_ops,
     example6_ops,
     naive_reduce,
@@ -895,34 +893,11 @@ def test_a_one_participant_target_has_no_s_operators_and_builds_no_cone():
 
 # -- an independent certificate ----------------------------------------------
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _complete_pool_sample(count, seed):
-    """A seeded sample of the benchmark's complete pool, restricted to
-    the inputs with a reference cost (the others run for minutes), as
-    (inputs, cap) pairs."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    ref = json.loads((PERFBENCH / "reference.json").read_text())["complete"]
-    pool = {p["id"]: p for p in corpus.complete_pool()}
-    ids = sorted(i for i in pool if ref[i][1] is not None)
-    out = []
-    for i in random.Random(seed).sample(ids, count):
-        prob = pool[i]
-        ring = RingSpec(prob["n"], prob["m"], order_delta=MonomialOrder(prob["order"]))
-        gens = [DiffOp(ring, {e: Poly(ring.nvars, c) for e, c in op.items()})
-                for op in prob["gens"]]
-        out.append((gens, prob["cap"]))
-    return out
-
-
 def test_independent_checker_certifies_sampled_pool_bases():
     # every converged base passes, and drops out when its last addition
     # is removed: the round before that addition failed the criterion
     bases = additions = 0
-    for gens, cap in _complete_pool_sample(300, 25):
+    for gens, cap in complete_pool_sample(300, 25):
         try:
             b = complete(gens, cap=cap)
         except CompletionCapExceeded:

@@ -98,7 +98,7 @@ x, d = ring.embed(ring.x(0)), ring.d(0)
 g = x * d + x * x * d
 # the full key d << S | x of x1*d1
 k = _layout(1).pack((1,))
-base = _Divisors([g], [k << _Divisors([], [], 1).shift | k], 1)
+base = _Divisors([g], [k << _Divisors([], [], ring).shift | k], ring)
 try:
     _divide_weyl(*_flat(x * d, base.shift), WeylOrder(), base, [0])
 except AssertionError as e:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from diffgb import Poly
+from diffgb import Poly, RingSpec
 from diffgb.orders import (
     EQ,
     GT,
@@ -231,8 +231,8 @@ def test_critical_pairs_matches_min_scan_reference_with_appends():
     for trial in range(200):
         if trial % 2:
             # the Weyl loop's leads: full keys d << S | x
-            base = _Divisors([], [], 2)
-            lcm, key = base.lcm, _full_key(rng.choice(weyl_orders), 2)
+            base = _Divisors([], [], RingSpec(2))
+            lcm, key = base.lcm, _full_key(rng.choice(weyl_orders), 2, 2)
             fresh = lambda: (_layout(2).pack([rng.randint(0, 2) for _ in range(2)]) << base.shift
                              | _layout(2).pack([rng.randint(0, 2) for _ in range(2)]))
         else:

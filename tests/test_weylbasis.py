@@ -10,7 +10,6 @@ from diffgb import (
     DiffOp,
     GeneratorSet,
     MonomialOrder,
-    Poly,
     RingSpec,
     WeylExp,
     WeylOrder,
@@ -22,6 +21,7 @@ from diffgb import (
     is_delta_groebner,
     is_gb,
     member,
+    minimal_stair,
     s_operator_weyl,
 )
 from diffgb import weylbasis
@@ -33,10 +33,13 @@ from diffgb.weylbasis import (_Divisors, _divide_weyl, _flat, _lead_full, _primi
 from helpers import (
     add_exp,
     assert_canonical_op,
+    complete_pool_sample,
     example6_ops,
     integer_primitive,
     naive_buchberger_weyl,
     naive_division_weyl,
+    naive_s_operator_weyl,
+    packed_ring,
     parse_op,
     rand_op,
     lcm_exp,
@@ -44,6 +47,7 @@ from helpers import (
     ring1,
     ring2,
     slow_mul,
+    weyl_lead,
 )
 
 W = WeylOrder(MonomialOrder("deglex"), MonomialOrder("deglex"))
@@ -66,10 +70,7 @@ def test_exp_full_running_pair():
     assert exp_full(p2, W) == WeylExp((1, 0), (0, 1))
 
 
-def test_exp_full_rejects_parameters_and_zero():
-    ring = RingSpec(1, 1)
-    with pytest.raises(ValueError):
-        exp_full(ring.d(0), W)
+def test_exp_full_rejects_zero():
     r = ring2()
     with pytest.raises(ValueError):
         exp_full(DiffOp.zero(r), W)
@@ -333,22 +334,8 @@ ORDERS = [W, WeylOrder(MonomialOrder("lex"), MonomialOrder("deglex")),
           WeylOrder(MonomialOrder("deglex"), MonomialOrder("lex"))]
 
 
-def textbook_s_operator(f, g, worder):
-    """mf*f - mg*g with mf = x^a d^b / lc(f) built out and multiplied
-    one derivation at a time."""
-    (_, cf), (_, cg) = _lead_full(f, worder), _lead_full(g, worder)
-    wf, wg = exp_full(f, worder), exp_full(g, worder)
-    lx, ld = tuple(map(max, wf.x, wg.x)), tuple(map(max, wf.d, wg.d))
-
-    def multiplier(w, c):
-        return DiffOp(f.ring, {tuple(a - b for a, b in zip(ld, w.d)): Poly.monomial(
-            f.ring.nvars, tuple(a - b for a, b in zip(lx, w.x)), 1 / c)})
-
-    return slow_mul(multiplier(wf, cf), f) - slow_mul(multiplier(wg, cg), g)
-
-
 def divisors(ops, worder):
-    return _Divisors(ops, [_lead_full(g, worder)[0] for g in ops], ops[0].ring.nvars)
+    return _Divisors(ops, [_lead_full(g, worder)[0] for g in ops], ops[0].ring)
 
 
 def test_s_operator_matches_textbook_with_and_without_memo_fuzz():
@@ -359,7 +346,7 @@ def test_s_operator_matches_textbook_with_and_without_memo_fuzz():
         ops = [rand_qop(rng, r) for _ in range(3)]
         base = divisors(ops, w)
         for i, j in [(0, 1), (1, 2), (2, 0), (0, 2), (1, 1)]:
-            want = textbook_s_operator(ops[i], ops[j], w)
+            want = naive_s_operator_weyl(ops[i], ops[j], w)
             for got in (s_operator_weyl(ops[i], ops[j], w),
                         _unflatten(r, *_s_pair(base, i, j), base)):
                 assert got == want
@@ -403,9 +390,9 @@ def test_flat_route_matches_the_public_route_fuzz(monkeypatch):
     class Spy(_Divisors):
         __slots__ = ()
 
-        def __init__(self, ops, leads, nvars):
+        def __init__(self, ops, leads, ring):
             made.append(self)
-            super().__init__(ops, leads, nvars)
+            super().__init__(ops, leads, ring)
 
     monkeypatch.setattr(weylbasis, "_Divisors", Spy)
     rng = random.Random(77)
@@ -442,7 +429,7 @@ def test_is_gb_matches_textbook_criterion_fuzz():
         r = ring2(w.order_d.kind)
         gens = [rand_qop(rng, r, max_order=1, max_terms=2, max_deg=1) for _ in range(2)]
         for ops in (gens, list(buchberger_weyl(gens, w).ops)):
-            want = all(divide_weyl(textbook_s_operator(f, g, w), ops, w)[1].is_zero()
+            want = all(divide_weyl(naive_s_operator_weyl(f, g, w), ops, w)[1].is_zero()
                        for i, f in enumerate(ops) for g in ops[i + 1:])
             assert is_gb(ops, w) == want
             seen.add(want)
@@ -455,9 +442,9 @@ def test_is_gb_shares_one_memo(monkeypatch):
     class Spy(_Divisors):
         __slots__ = ()
 
-        def __init__(self, ops, leads, nvars):
+        def __init__(self, ops, leads, ring):
             made.append(len(ops))
-            super().__init__(ops, leads, nvars)
+            super().__init__(ops, leads, ring)
 
     r = ring2()
     gens = [parse_op(r, t) for t in WEYL_GOLDEN[0][2]]
@@ -466,15 +453,19 @@ def test_is_gb_shares_one_memo(monkeypatch):
     assert made == [3]
 
 
-def test_parameter_rings_are_rejected_at_every_entry_point():
+def test_parameter_rings_are_served_at_every_entry_point():
+    # x2 is a parameter, so d1 * x2 = x2 * d1; S(x2*d1, d1 + x1) = -x1*x2
+    # and d1 * x1*x2 - x1 * x2*d1 = x2 put x2 in the ideal
     r = RingSpec(1, 1)
     x1, x2, d1 = r.embed(r.x(0)), r.embed(r.x(1)), r.d(0)
-    for call in (lambda: is_gb([x2 * d1], W),
-                 lambda: is_gb([x2 * d1, d1 + x1], W),
-                 lambda: gb_implies_delta_check([x2 * d1], W),
-                 lambda: s_operator_weyl(x2 * d1, d1 + x1, W)):
-        with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
-            call()
+    f, g, p = x2 * d1, d1 + x1, d1 * x1 * x2 + x1
+    assert exp_full(f, W) == weyl_lead(f, W)[0] == WeylExp((0, 1), (1,))
+    assert s_operator_weyl(f, g, W) == naive_s_operator_weyl(f, g, W) == -x1 * x2
+    assert divide_weyl(p, [f, g], W) == naive_division_weyl(p, [f, g], W)
+    base = list(buchberger_weyl([f, g], W).ops)
+    assert base == naive_buchberger_weyl([f, g], W) == [x2, d1 + x1]
+    assert is_gb(base, W) and not is_gb([f, g], W)
+    assert gb_implies_delta_check(base, W) and gb_implies_delta_check([f, g], W)
 
 
 def weyl_ops(ring):
@@ -482,8 +473,8 @@ def weyl_ops(ring):
     return x1 * d1, d1 + x1
 
 
-@pytest.mark.parametrize("other", [RingSpec(1), RingSpec(2, names=("y1", "y2")), ring2("lex")],
-                         ids=["n", "names", "d-order"])
+@pytest.mark.parametrize("other", [RingSpec(1), RingSpec(2, names=("y1", "y2")), ring2("lex"),
+                                   RingSpec(2, 1)], ids=["n", "names", "d-order", "m"])
 def test_weyl_entry_points_reject_an_operator_of_another_ring(other):
     # the same operators over another ring: every entry point raises, as
     # reduce does, for the dividend and a divisor alike, zero operators
@@ -508,18 +499,15 @@ def test_weyl_entry_points_reject_an_operator_of_another_ring(other):
 
 
 def test_bridge_checks_the_rings_of_zero_operators_too():
-    # a zero operator over another ring, or over a parameter ring, is
-    # refused as is_gb refuses it, before the zeros are dropped
+    # a zero operator over another ring is refused as is_gb refuses it,
+    # before the zeros are dropped
     r = ring2()
     x1d1 = r.embed(r.x(0)) * r.d(0)
     with pytest.raises(ValueError, match="operator ring mismatch"):
         is_gb([x1d1, DiffOp.zero(RingSpec(1))], W)
-    with pytest.raises(ValueError, match="operator ring mismatch"):
-        gb_implies_delta_check([x1d1, DiffOp.zero(RingSpec(1))], W)
-    with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
-        gb_implies_delta_check([x1d1, DiffOp.zero(RingSpec(2, 1))], W)
-    with pytest.raises(ValueError, match=r"pure operator ring \(m = 0\)"):
-        gb_implies_delta_check([DiffOp.zero(RingSpec(1, 1))], W)
+    for other in (RingSpec(1), RingSpec(2, 1)):
+        with pytest.raises(ValueError, match="operator ring mismatch"):
+            gb_implies_delta_check([x1d1, DiffOp.zero(other)], W)
     assert gb_implies_delta_check([x1d1, DiffOp.zero(r)], W)
 
 
@@ -579,9 +567,9 @@ def test_counters_match_the_calls_they_count_fuzz(monkeypatch):
     class Spy(_Divisors):
         __slots__ = ()
 
-        def __init__(self, ops, leads, nvars):
+        def __init__(self, ops, leads, ring):
             bases.append(ops)
-            super().__init__(ops, leads, nvars)
+            super().__init__(ops, leads, ring)
 
     def s_spy(*args, **kw):
         s_calls.append(args)
@@ -650,39 +638,40 @@ def test_s_operator_names_the_zero_operator():
 LIMIT = 2 ** 31  # total degrees stay below it, in x and in d
 
 
-def full_key(n, x, d):
-    lay = _layout(n)
-    return lay.pack(d) << _Divisors([], [], n).shift | lay.pack(x)
+def full_key(n, m, x, d):
+    """The d-half in the layout of n variables, shifted by the width of
+    an x-half, over the x-half in the layout of n + m variables."""
+    return _layout(n).pack(d) << 32 * (n + m + 1) | _layout(n + m).pack(x)
 
 
 def test_full_key_divides_lcm_and_order_match_the_tuple_definitions_fuzz():
     # the one guard test and the half-by-half lcm against componentwise
     # definitions, including x-halves that do not divide, also with a
     # larger x-degree (its degree field then borrows from the d-half),
-    # and entries and lcm degrees near the limit
+    # and entries and lcm degrees near the limit, with 0-2 parameters
     rng = random.Random(91)
     seen = set()
     for k in range(800):
-        n = 1 + k % 3
-        base = _Divisors([], [], n)
+        n, m = 1 + k % 3, k // 12 % 3
+        base = _Divisors([], [], RingSpec(n, m))
 
-        def exp(top):
+        def exp(top, size):
             if rng.random() < 0.2:  # near the limit: split a total below it
-                cuts = sorted(rng.randint(0, LIMIT - 1) for _ in range(n - 1))
+                cuts = sorted(rng.randint(0, LIMIT - 1) for _ in range(size - 1))
                 return tuple(b - a for a, b in zip([0, *cuts], [*cuts, LIMIT - 1]))
-            return tuple(rng.randint(0, top) for _ in range(n))
+            return tuple(rng.randint(0, top) for _ in range(size))
 
-        ax, ad, bx, bd = exp(3), exp(3), exp(3), exp(3)
+        ax, ad, bx, bd = exp(3, n + m), exp(3, n), exp(3, n + m), exp(3, n)
         kind = k // 3 % 4
         if kind & 1 and sum(ad) + 6 < LIMIT:  # the d-half divides
             bd = add_exp(ad, tuple(rng.randint(0, 2) for _ in range(n)))
         if kind & 2 and sum(ax) + 6 < LIMIT:  # the x-half divides
-            bx = add_exp(ax, tuple(rng.randint(0, 2) for _ in range(n)))
-        a, b = full_key(n, ax, ad), full_key(n, bx, bd)
+            bx = add_exp(ax, tuple(rng.randint(0, 2) for _ in range(n + m)))
+        a, b = full_key(n, m, ax, ad), full_key(n, m, bx, bd)
         dx, dd = divides(ax, bx), divides(ad, bd)
         assert base.divides(a, b) == (dx and dd)
         seen.add((dx, dd, sum(ax) > sum(bx)))
-        assert base.lcm(a, b) == full_key(n, lcm_exp(ax, bx), lcm_exp(ad, bd))
+        assert base.lcm(a, b) == full_key(n, m, lcm_exp(ax, bx), lcm_exp(ad, bd))
         # under deglex/deglex the keys are their own sort key
         assert (a < b) == (W.key(WeylExp(ax, ad)) < W.key(WeylExp(bx, bd)))
     assert seen == {(True, True, False), (True, False, False),
@@ -708,4 +697,67 @@ def test_divide_weyl_matches_the_recording_oracle_under_memo_orders_fuzz():
         assert (qs, rem) == naive_division_weyl(p, gens, w)
         for q in qs + [rem]:
             assert_canonical_op(q)
-        assert s_operator_weyl(gens[0], gens[-1], w) == textbook_s_operator(gens[0], gens[-1], w)
+        f, g = gens[0], gens[-1]
+        assert s_operator_weyl(f, g, w) == naive_s_operator_weyl(f, g, w)
+
+
+# -- parameter rings, m > 0 ----------------------------------------------------
+
+
+def test_parameter_rings_match_the_oracles_fuzz():
+    # the oracles read every lead from the tuple view, so they check the
+    # full key's layouts of n derivations and n + m variables instead of
+    # sharing them: one and two parameters, deglex and lex x-orders, and
+    # d-orders whose packed keys sort as they are or through a memo
+    rng = random.Random(93)
+    seen, compared = set(), 0
+    for k in range(48):
+        order = ("lex", "degrevlex")[k // 4 % 2]
+        r = (RingSpec(1, 1, order_delta=MonomialOrder(order)), ring2(order, m=1),
+             packed_ring(k // 4, 1), packed_ring(k // 4, 2))[k % 4]
+        w = WeylOrder(MonomialOrder(("deglex", "lex")[k // 8 % 2]), r.order_delta)
+        gens = [rand_qop(rng, r, max_order=2, max_terms=2, max_deg=1)
+                for _ in range(rng.randint(1, 3))]
+        p = rand_qop(rng, r, max_order=3, max_terms=4)
+        for q in gens + [p]:
+            assert exp_full(q, w) == weyl_lead(q, w)[0]
+        assert divide_weyl(p, gens, w) == naive_division_weyl(p, gens, w)
+        f, g = gens[0], gens[-1]
+        assert s_operator_weyl(f, g, w) == naive_s_operator_weyl(f, g, w)
+        result = buchberger_weyl(gens, w)
+        got = list(result.ops)
+        # the criterion-free oracle pairs every addition with every
+        # element: one input here needs 48 additions, which it takes
+        # minutes over
+        if result.stats["additions"] <= 12:
+            want = naive_buchberger_weyl(gens, w)
+            assert [q * (1 / weyl_lead(q, w)[1]) for q in got] == want
+            compared += 1
+        for ops in (gens, got):
+            crit = all(naive_division_weyl(naive_s_operator_weyl(a, b, w), ops, w)[1].is_zero()
+                       for i, a in enumerate(ops) for b in ops[i + 1:])
+            assert is_gb(ops, w) == crit
+            seen.add(crit)
+        assert gb_implies_delta_check(got, w)
+    assert seen == {True, False} and compared > 40
+
+
+def test_elimination_base_has_the_stair_and_cones_of_complete():
+    # the paper's comparison: on converging pool inputs with and without
+    # a parameter, the classical base under the elimination order is a
+    # delta-base, with the stair and the reduced cone bases of complete's
+    done = {0: 0, 1: 0}
+    for gens, cap in complete_pool_sample(300, 30):
+        try:
+            b = complete(gens, cap=cap)
+        except CompletionCapExceeded:
+            continue
+        ring = b.ring
+        gs = GeneratorSet(list(buchberger_weyl(gens, WeylOrder(
+            MonomialOrder("deglex"), ring.order_delta)).ops), ring)
+        assert is_delta_groebner(gs)
+        stair = minimal_stair(gs.exps, ring.order_delta)
+        assert stair == b.stair
+        assert [gs.cone_ideal(a).groebner for a in stair] == [b.cones[a].groebner for a in stair]
+        done[ring.m] += 1
+    assert min(done.values()) > 100
